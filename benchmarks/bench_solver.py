@@ -28,7 +28,8 @@ Usage::
         [--jobs N] [--json-out BENCH_solver.json]
 
     # CI regression guard: quick sweep, compare the (deterministic)
-    # solve-call and pivot counters against the committed reference,
+    # solve-call, round and pivot counters against the committed
+    # reference, and the hard row's rounds and pivots against its own;
     # fail on >20% regression.
     PYTHONPATH=src:. python benchmarks/bench_solver.py --guard BENCH_solver.json
 
@@ -38,13 +39,17 @@ Usage::
 
 ``--quick`` runs a small subset (seconds, for CI smoke); the default
 sweep covers every registry algorithm in the unroll regime, the correct
-ones in the invariant regime, and an annotation-free Houdini run.
+ones in the invariant regime, and an annotation-free Houdini run.  Both
+also time the **hard row** — ``num_svt`` in the Fix-ε regime, the
+registry's slowest program — outside the sweep totals.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import random
 import sys
 import time
@@ -241,7 +246,7 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
     )
     houdini_names = ["noisy_max"]
 
-    results: Dict = {"workloads": {}, "quick": quick, "jobs": jobs}
+    results: Dict = {"workloads": {}, "quick": quick, "jobs": jobs, "nproc": os.cpu_count()}
 
     def record(
         workload: str,
@@ -251,6 +256,7 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
         solves: int,
         seconds: float,
         pivots: Optional[int] = None,
+        rounds: Optional[int] = None,
     ) -> None:
         entry = results["workloads"].setdefault(workload, {})
         entry[side] = {
@@ -262,6 +268,8 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
         }
         if pivots is not None:
             entry[side]["pivots"] = pivots
+        if rounds is not None:
+            entry[side]["rounds"] = rounds
 
     # -- baseline ------------------------------------------------------------
     queries = hits = solves = 0
@@ -300,7 +308,7 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
     # -- incremental ---------------------------------------------------------
     cache = QueryCache()
 
-    queries = hits = solves = pivots = 0
+    queries = hits = solves = pivots = rounds = 0
     start = time.perf_counter()
     for name in unroll_names:
         spec = get(name)
@@ -313,12 +321,13 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
         hits += stats["cache_hits"]
         solves += stats["solve_calls"]
         pivots += outcome.profile["pivots"]
+        rounds += outcome.profile["rounds"]
     record(
         "registry-unroll", "incremental", queries, hits, solves,
-        time.perf_counter() - start, pivots=pivots,
+        time.perf_counter() - start, pivots=pivots, rounds=rounds,
     )
 
-    queries = hits = solves = pivots = 0
+    queries = hits = solves = pivots = rounds = 0
     start = time.perf_counter()
     for name in invariant_names:
         spec = get(name)
@@ -332,9 +341,10 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
         hits += stats["cache_hits"]
         solves += stats["solve_calls"]
         pivots += outcome.profile["pivots"]
+        rounds += outcome.profile["rounds"]
     record(
         "registry-invariant", "incremental", queries, hits, solves,
-        time.perf_counter() - start, pivots=pivots,
+        time.perf_counter() - start, pivots=pivots, rounds=rounds,
     )
 
     queries = hits = solves = 0
@@ -444,9 +454,10 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
         totals[side]["seconds"] = round(
             sum(w[side]["seconds"] for w in results["workloads"].values()), 3
         )
-    totals["incremental"]["pivots"] = sum(
-        w["incremental"].get("pivots", 0) for w in results["workloads"].values()
-    )
+    for key in ("pivots", "rounds"):
+        totals["incremental"][key] = sum(
+            w["incremental"].get(key, 0) for w in results["workloads"].values()
+        )
     base, incr = totals["baseline"], totals["incremental"]
     totals["solve_call_reduction"] = (
         round(base["solve_calls"] / incr["solve_calls"], 2) if incr["solve_calls"] else None
@@ -455,7 +466,33 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
         round(base["seconds"] / incr["seconds"], 2) if incr["seconds"] else None
     )
     results["totals"] = totals
+
+    # -- the hard row, outside the totals --------------------------------------
+    results["hard_row"] = run_hard_row()
     return results
+
+
+#: The hard row: the registry's slowest program.  The quick sweep does
+#: not contain it, so it is timed and guarded on its own.
+HARD_ROW = "num_svt"
+
+
+def run_hard_row() -> Dict:
+    """``num_svt`` in the Fix-ε regime (its ``spec_config``), alone, with
+    a fresh query cache."""
+    spec = get(HARD_ROW)
+    start = time.perf_counter()
+    outcome = verify_target(
+        spec.target(), dataclasses.replace(spec_config(spec), profile=True)
+    )
+    return {
+        "program": HARD_ROW,
+        "verified": outcome.verified,
+        "solve_calls": outcome.solve_calls,
+        "rounds": outcome.profile["rounds"],
+        "pivots": outcome.profile["pivots"],
+        "seconds": round(time.perf_counter() - start, 3),
+    }
 
 
 def run_warm_store(names: List[str]) -> Dict:
@@ -466,7 +503,6 @@ def run_warm_store(names: List[str]) -> Dict:
     **zero** DPLL(T) solves (the cross-run incrementality contract the
     CI guard enforces).
     """
-    import os
     import tempfile
 
     out: Dict = {}
@@ -509,8 +545,6 @@ def run_witness(names: List[str]) -> Dict:
     stored sweep with the trusted kernel costs milliseconds, not
     solves.
     """
-    import dataclasses
-    import os
     import sqlite3
     import tempfile
 
@@ -694,7 +728,11 @@ def run_microbench() -> Dict:
 #: guard re-executes itself under seed 0 — see :func:`_pin_hash_seed`)
 #: they are fully deterministic for a given code state, so the check is
 #: runner-stable in a way wall-clock thresholds are not.
-GUARD_COUNTERS = ("solve_calls", "pivots")
+GUARD_COUNTERS = ("solve_calls", "rounds", "pivots")
+
+#: Counters the guard compares on the hard row, against the committed
+#: ``hard_reference``.
+HARD_COUNTERS = ("rounds", "pivots")
 
 #: Allowed relative growth before the guard fails.
 GUARD_TOLERANCE = 0.20
@@ -717,6 +755,11 @@ def guard_counters(results: Dict) -> Dict[str, int]:
     return {key: int(totals.get(key, 0)) for key in GUARD_COUNTERS}
 
 
+def hard_counters(results: Dict) -> Dict[str, int]:
+    """The hard row's guarded counters."""
+    return {key: int(results["hard_row"][key]) for key in HARD_COUNTERS}
+
+
 def serial_counters(results: Dict) -> Dict[str, int]:
     """The serial-backend counters pinned exactly by the guard."""
     totals = results["totals"]["incremental"]
@@ -732,7 +775,6 @@ def _pin_hash_seed() -> None:
     guard and the reference writer both pin seed 0 so their numbers
     compare like for like.
     """
-    import os
     import subprocess
 
     if os.environ.get("PYTHONHASHSEED") == "0":
@@ -750,21 +792,14 @@ def run_guard(reference_path: str, jobs: int) -> int:
               f"run --update-reference first", file=sys.stderr)
         return 2
     results = run_workloads(quick=True, jobs=jobs)
-    current = guard_counters(results)
     print(render(results))
-    failed = False
-    for key in GUARD_COUNTERS:
-        old = expected.get(key)
-        new = current[key]
-        if not old:
-            print(f"bench-guard: {key}: no reference value, skipping")
-            continue
-        limit = old * (1 + GUARD_TOLERANCE)
-        status = "OK" if new <= limit else "REGRESSION"
-        print(f"bench-guard: {key}: reference={old} current={new} "
-              f"limit={limit:.0f} [{status}]")
-        if new > limit:
+    failed = not within_tolerance("", expected, guard_counters(results))
+    hard_expected = reference.get("hard_reference")
+    if hard_expected:
+        if not within_tolerance(f"{HARD_ROW} ", hard_expected, hard_counters(results)):
             failed = True
+    else:
+        print("bench-guard: no hard_reference section; hard row check skipped")
     serial_expected = reference.get("serial_reference")
     if serial_expected:
         serial_current = serial_counters(results)
@@ -798,6 +833,24 @@ def run_guard(reference_path: str, jobs: int) -> int:
         return 1
     print("bench-guard: passed")
     return 0
+
+
+def within_tolerance(prefix: str, expected: Dict, current: Dict[str, int]) -> bool:
+    """Print one line per counter; False if any grew beyond
+    :data:`GUARD_TOLERANCE` over its reference."""
+    ok = True
+    for key, new in current.items():
+        old = expected.get(key)
+        if not old:
+            print(f"bench-guard: {prefix}{key}: no reference value, skipping")
+            continue
+        limit = old * (1 + GUARD_TOLERANCE)
+        status = "OK" if new <= limit else "REGRESSION"
+        print(f"bench-guard: {prefix}{key}: reference={old} current={new} "
+              f"limit={limit:.0f} [{status}]")
+        if new > limit:
+            ok = False
+    return ok
 
 
 def run_witness_guard(results: Dict) -> bool:
@@ -873,11 +926,13 @@ def update_reference(reference_path: str, jobs: int) -> int:
     print(render(results))
     reference["quick_reference"] = guard_counters(results)
     reference["serial_reference"] = serial_counters(results)
+    reference["hard_reference"] = hard_counters(results)
     with open(reference_path, "w") as handle:
         json.dump(reference, handle, indent=2)
     print(f"updated quick_reference in {reference_path}: "
           f"{reference['quick_reference']}; serial_reference: "
-          f"{reference['serial_reference']}")
+          f"{reference['serial_reference']}; hard_reference: "
+          f"{reference['hard_reference']}")
     return 0
 
 
@@ -909,7 +964,14 @@ def render(results: Dict) -> str:
         f"wall-time speedup: {totals['wall_time_speedup']}x"
     )
     if "pivots" in totals["incremental"]:
-        lines.append(f"incremental pivots: {totals['incremental']['pivots']}")
+        lines.append(f"incremental pivots: {totals['incremental']['pivots']}, "
+                     f"rounds: {totals['incremental']['rounds']}")
+    hard = results.get("hard_row")
+    if hard:
+        lines.append(
+            f"hard row ({hard['program']} Fix-eps): {hard['rounds']} rounds, "
+            f"{hard['pivots']} pivots, {hard['solve_calls']} solves in {hard['seconds']}s"
+        )
     threaded = results.get("threaded_invariant")
     if threaded:
         lines.append(

@@ -5,7 +5,7 @@ pretty-prints the per-stage solver profile the verify stage records:
 SAT-core work (decisions, propagations, conflicts, restarts, learned
 and deleted clauses), simplex work (pivots, bound assertions, theory
 conflicts), term-layer interning traffic, and the DPLL(T) loop shape
-(solve calls, candidate-model rounds).
+(solve calls, rounds: 1 + theory lemmas per solve).
 
 Usage::
 

@@ -18,6 +18,7 @@ Noisy Max and Sparse Vector with no hints.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -139,8 +140,9 @@ def infer_annotations(
     # One memoizing pipeline per search: candidates share parse-stage
     # artifacts, and re-explored annotation assignments (the selector and
     # alignment pools overlap across samples) skip straight to the cached
-    # verification outcome.
-    pipe = Pipeline(config=config)
+    # verification outcome.  A candidate is rejected at its first
+    # refutation, so the rest of its obligations are never discharged.
+    pipe = Pipeline(config=dataclasses.replace(config, fail_fast=True))
 
     samples = [c for c in ast.command_iter(function.body) if isinstance(c, ast.Sample)]
     conditions = branch_conditions(function.body)

@@ -27,7 +27,8 @@ class SolverProfile:
 
     #: DPLL(T) checks executed (one per SMTSolver.check()).
     solve_calls: int = 0
-    #: candidate-model rounds inside those checks (SAT solve → theory check).
+    #: DPLL(T) rounds: 1 + the theory lemmas of each check, i.e. the SAT
+    #: solves a lazy loop that restarts at every theory conflict would run.
     rounds: int = 0
     # -- SAT core ----------------------------------------------------------
     decisions: int = 0

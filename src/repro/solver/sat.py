@@ -14,8 +14,17 @@ assumptions as temporary first decisions.
 Clause-database reduction only ever removes clauses the solver *learned*
 itself (they are implied by the rest, so removal is sound and cannot
 change SAT/UNSAT answers); clauses added through :meth:`add_clause` —
-problem clauses, selector-guarded scope clauses, theory lemmas — are
+problem clauses, selector-guarded scope clauses — and theory lemmas are
 permanent.
+
+For DPLL(T) a *theory* can be attached (:attr:`CDCLSolver.theory`).  The
+core consults it at every propagation fixpoint with
+``theory.theory_check(trail, level)``, which returns ``None`` (the
+trail is theory-consistent) or a *lemma*: a theory-valid clause that
+the trail falsifies.  The lemma is kept as a permanent clause and
+analyzed like any other conflict.  Every backjump is reported with
+``theory.theory_backtrack(level)``, so the theory can retract what it
+asserted above ``level``.
 
 Literals follow the DIMACS convention: nonzero ints, ``-v`` negates.
 """
@@ -97,6 +106,8 @@ class CDCLSolver:
         #: ``("learn", clause)`` event in learn order — each is checkable
         #: by reverse unit propagation against the events before it.
         self.proof: Optional[List[Tuple]] = None
+        #: The attached theory (see the module docstring), or None.
+        self.theory = None
         self.ensure_vars(num_vars)
 
     # -- variable / clause management ---------------------------------------
@@ -193,6 +204,8 @@ class CDCLSolver:
         del self._trail[limit:]
         del self._trail_limits[level:]
         self._propagate_head = min(self._propagate_head, len(self._trail))
+        if self.theory is not None:
+            self.theory.theory_backtrack(level)
 
     # -- propagation ----------------------------------------------------------
 
@@ -372,6 +385,21 @@ class CDCLSolver:
         dead = set(doomed)
         self._learned = [i for i in alive if i not in dead]
 
+    def _theory_conflict(self, lemma: List[Literal]) -> List[Literal]:
+        """Keep a theory lemma as a permanent clause; returns it as the
+        conflict to analyze, with the search backtracked to the lemma's
+        highest level so that 1-UIP analysis finds a literal there."""
+        if not lemma:
+            raise Unsatisfiable
+        level_of = self._level_of
+        clause = sorted(lemma, key=lambda l: -level_of[abs(l)])
+        if len(clause) >= 2:
+            # Watch the two highest-level literals: backjumping then
+            # unassigns them first, keeping the watch invariant.
+            self._attach(clause)
+        self._backtrack(level_of[abs(clause[0])])
+        return clause
+
     # -- main loop --------------------------------------------------------------
 
     def _pick_branch(self) -> Optional[Literal]:
@@ -387,8 +415,8 @@ class CDCLSolver:
     def solve(self, assumptions: Sequence[Literal] = ()) -> bool:
         """Solve the current clause set; returns True iff satisfiable.
 
-        ``assumptions`` are temporary decisions; the solver state is reset
-        to level 0 afterwards either way.
+        ``assumptions`` are temporary decisions; the next call resets the
+        solver state to level 0.
         """
         if self._unsat:
             return False
@@ -396,12 +424,17 @@ class CDCLSolver:
         if self._propagate() is not None:
             self._unsat = True
             return False
+        theory = self.theory
         conflicts_since_restart = 0
         restart_index = 1
         restart_limit = self._restart_base * luby(restart_index)
         try:
             while True:
                 conflict = self._propagate()
+                if conflict is None and theory is not None:
+                    lemma = theory.theory_check(self._trail, len(self._trail_limits))
+                    if lemma is not None:
+                        conflict = self._theory_conflict(lemma)
                 if conflict is not None:
                     if self._decision_level() == 0:
                         raise Unsatisfiable

@@ -18,13 +18,16 @@ The implementation is tuned for the DPLL(T) inner loop:
   mentioning it, so nonbasic updates and pivots touch O(occurrences)
   rows instead of scanning the whole tableau.
 * Bound assertion is **trail-based**: :meth:`push_state` marks a point,
-  :meth:`pop_state` restores the exact bounds in O(changes) — no
-  ``reset_bounds`` + full re-assertion per candidate model.
+  :meth:`pop_state` restores the exact bounds in O(changes), so bound
+  states follow the SAT core's decision levels.
 * :meth:`check` selects the violated *row* by Bland's rule (minimum
   index — also the better lemma producer, see its docstring) and the
   entering *column* by a Dantzig-style largest-coefficient heuristic,
   falling back to minimum index after a pivot budget, preserving
-  termination.
+  termination.  It scans only the rows **touched** since the last
+  feasible state (their basic variable's value or bound changed), a
+  superset of the violated rows, so the row it picks — and every pivot —
+  is the one a full scan would pick.
 
 Reference: B. Dutertre and L. de Moura, "A Fast Linear-Arithmetic Solver
 for DPLL(T)", CAV 2006.
@@ -82,9 +85,9 @@ class Simplex:
     """A simplex instance over named variables.
 
     Usage: create, add tableau rows with :meth:`define`, then assert
-    bounds and call :meth:`check`.  For the online DPLL(T) loop,
-    :meth:`push_state`/:meth:`pop_state` bracket each candidate model's
-    bound assertions; :meth:`reset_bounds` remains for offline use.
+    bounds and call :meth:`check`.  In the online DPLL(T) loop,
+    :meth:`push_state`/:meth:`pop_state` follow the SAT core's decision
+    levels; :meth:`reset_bounds` drops every bound at once.
     """
 
     #: Pivots per :meth:`check` before switching from the Dantzig-style
@@ -108,6 +111,9 @@ class Simplex:
         self._trail: List[Tuple[int, bool, Optional[Bound]]] = []
         self._trail_limits: List[int] = []
         self._one_id: Optional[int] = None
+        # basic ids whose value or bound changed since the last feasible
+        # check: every violated row is in here (see check)
+        self._touched: Set[int] = set()
 
     # -- construction ---------------------------------------------------------
 
@@ -220,7 +226,8 @@ class Simplex:
             else:
                 self._lower[vid] = previous
 
-    def assert_upper(self, var: str, value: DeltaRat, tag: object) -> None:
+    def assert_upper(self, var: str, value: DeltaRat, tag: object) -> bool:
+        """Assert ``var <= value``; returns whether the bound tightened."""
         vid = self.add_variable(var)
         self.profile.bound_asserts += 1
         lower = self._lower[vid]
@@ -229,13 +236,17 @@ class Simplex:
             raise Infeasible({tag, lower.tag}, farkas=((new, _ONE), (lower, _ONE)))
         upper = self._upper[vid]
         if upper is not None and upper.value <= value:
-            return
+            return False
         self._trail.append((vid, True, upper))
         self._upper[vid] = Bound(var, True, value, tag)
-        if not self._is_basic[vid] and self._assignment[vid] > value:
+        if self._is_basic[vid]:
+            self._touched.add(vid)
+        elif self._assignment[vid] > value:
             self._update(vid, value)
+        return True
 
-    def assert_lower(self, var: str, value: DeltaRat, tag: object) -> None:
+    def assert_lower(self, var: str, value: DeltaRat, tag: object) -> bool:
+        """Assert ``var >= value``; returns whether the bound tightened."""
         vid = self.add_variable(var)
         self.profile.bound_asserts += 1
         upper = self._upper[vid]
@@ -244,19 +255,24 @@ class Simplex:
             raise Infeasible({tag, upper.tag}, farkas=((new, _ONE), (upper, _ONE)))
         lower = self._lower[vid]
         if lower is not None and lower.value >= value:
-            return
+            return False
         self._trail.append((vid, False, lower))
         self._lower[vid] = Bound(var, False, value, tag)
-        if not self._is_basic[vid] and self._assignment[vid] < value:
+        if self._is_basic[vid]:
+            self._touched.add(vid)
+        elif self._assignment[vid] < value:
             self._update(vid, value)
+        return True
 
     def _update(self, nonbasic: int, value: DeltaRat) -> None:
         assignment = self._assignment
         delta = value - assignment[nonbasic]
         assignment[nonbasic] = value
         rows = self._rows
-        for basic in self._cols[nonbasic]:
+        column = self._cols[nonbasic]
+        for basic in column:
             assignment[basic] = assignment[basic] + delta.scale(rows[basic][nonbasic])
+        self._touched.update(column)
 
     # -- pivoting ---------------------------------------------------------------
 
@@ -304,10 +320,15 @@ class Simplex:
         theta = (value - assignment[basic]).scale(_ONE / coeff)
         assignment[basic] = value
         assignment[nonbasic] = assignment[nonbasic] + theta
-        for other in self._cols[nonbasic]:
+        column = self._cols[nonbasic]
+        for other in column:
             if other == basic:
                 continue
             assignment[other] = assignment[other] + theta.scale(rows[other][nonbasic])
+        touched = self._touched
+        touched.update(column)
+        touched.discard(basic)
+        touched.add(nonbasic)
         self._pivot(basic, nonbasic)
 
     # -- the check procedure -----------------------------------------------------
@@ -325,26 +346,36 @@ class Simplex:
         :attr:`bland_threshold` pivots have been spent in this check,
         then falls back to minimum index, restoring the full Bland rule
         and with it guaranteed termination.
+
+        Only touched rows are scanned: a row can start violating its
+        bounds only when its basic variable's value changes or one of its
+        bounds tightens, and both mark the row touched; rows found within
+        bounds are dropped from the touched set.
         """
         budget = self.bland_threshold + 2 * len(self._names)
         pivots = 0
         assignment = self._assignment
         lower = self._lower
         upper = self._upper
+        touched = self._touched
         while True:
             violating = -1
             below = False
-            for vid in self._rows:
-                if violating >= 0 and vid >= violating:
-                    continue
+            satisfied = []
+            for vid in touched:
                 value = assignment[vid]
                 low = lower[vid]
                 if low is not None and value < low.value:
-                    violating, below = vid, True
+                    if violating < 0 or vid < violating:
+                        violating, below = vid, True
                     continue
                 up = upper[vid]
                 if up is not None and value > up.value:
-                    violating, below = vid, False
+                    if violating < 0 or vid < violating:
+                        violating, below = vid, False
+                    continue
+                satisfied.append(vid)
+            touched.difference_update(satisfied)
             if violating < 0:
                 return
             row = self._rows[violating]

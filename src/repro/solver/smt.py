@@ -1,13 +1,24 @@
-"""The lazy DPLL(T) loop: CDCL SAT core + simplex theory solver.
+"""Online DPLL(T): the simplex theory solver inside the CDCL search.
 
-The loop is the classic lemmas-on-demand architecture:
+This is the Dutertre–de Moura integration the simplex was built for:
 
-1. Tseitin-encode the asserted formulas to CNF.
-2. Ask the SAT core for a propositional model.
-3. Translate the model's theory literals into simplex bounds and check
-   feasibility.
-4. If infeasible, add the (negated) conflict set as a new clause and
-   repeat; otherwise report SAT with a concrete rational model.
+1. Tseitin-encode the asserted formulas to CNF and precompute, once per
+   atom, the simplex bounds each of its polarities asserts.
+2. Run the CDCL core with the solver attached as its theory.  At every
+   propagation fixpoint the bounds of the newly trailed atom literals
+   are asserted, and the simplex checks feasibility when one of them
+   changed a bound.  Simplex bound states are pushed and popped in step
+   with the core's decision levels.
+3. An infeasibility comes back to the core as a *theory lemma* — the
+   negated conflict set, recorded with its Farkas certificate in proof
+   mode — which the core keeps as a permanent clause and analyzes like
+   any other conflict.
+4. When the core has a total assignment, the simplex assignment of that
+   last fixpoint is the model.
+
+``SolverProfile.rounds`` counts 1 + the theory lemmas of each check: the
+number of SAT solves the earlier offline loop (one SAT solve per theory
+conflict) would have run.
 
 Equality atoms get a theory-split clause ``(x = y) ∨ (x < y) ∨ (x > y)``
 at encoding time so that *negated* equalities never reach the simplex
@@ -38,6 +49,10 @@ from repro.solver.linear import LinExpr
 from repro.solver.profile import SolverProfile
 from repro.solver.sat import CDCLSolver
 from repro.solver.simplex import Infeasible, Simplex
+
+
+class _RoundLimit(Exception):
+    """Raised through the CDCL core when a check exhausts ``max_rounds``."""
 
 
 @dataclass
@@ -94,6 +109,14 @@ class SMTSolver:
         self._splits_done: Set[int] = set()  # equality atoms already split
         self._scopes: List[int] = []  # active selector variables
         self.solve_calls = 0
+        # Theory state of the running check: the decision level the
+        # simplex bound states reach (-1: none pushed), the trail prefix
+        # already asserted, whether a bound changed since the last
+        # feasible simplex check, and the lemmas returned so far.
+        self._theory_level = -1
+        self._theory_head = 0
+        self._dirty = False
+        self._lemmas = 0
         # Proof bookkeeping (witness mode).  ``_atom_meta`` maps each
         # theory SAT var to ``(sign, factor)`` relating the asserted
         # simplex bounds back to the atom's own expression: the bound
@@ -179,72 +202,85 @@ class SMTSolver:
             if proof is not None:
                 proof.append(("input", tuple(clause)))
             self._synced += 1
+        for var, atom in cnf.atom_of_var.items():
+            if var not in self._atom_plan:
+                self._plan_atom(var, atom)
 
         assumptions = tuple(self._scopes)
         self.solve_calls += 1
         self.profile.solve_calls += 1
-        rounds = 0
-        while rounds < self._max_rounds:
-            rounds += 1
-            self.profile.rounds += 1
+        self._dirty = False
+        self._lemmas = 0
+        # Attached only for this check: a permanent core -> solver
+        # reference would make a reference cycle.
+        self._sat.theory = self
+        try:
             if not self._sat.solve(assumptions):
                 if proof is not None:
                     self.last_proof = (assumptions, tuple(proof))
                 return SatResult("unsat")
-            sat_values = self._sat._values  # direct view; True/False/None
+            sat_values = self._sat._values
+            arith = {
+                k: v for k, v in self._simplex.concrete_model().items() if not k.startswith("%")
+            }
+            booleans = {
+                name: sat_values[var]
+                for var, name in cnf.bool_of_var.items()
+                if sat_values[var] is not None
+            }
+            return SatResult("sat", arith, booleans)
+        except _RoundLimit:
+            return SatResult("unknown")
+        finally:
+            self._sat.theory = None
+            self.theory_backtrack(-1)
+            self._theory_head = 0
+            self.profile.rounds += 1 + self._lemmas
 
-            # Bracket this candidate model's bounds with the simplex
-            # trail: popping restores the base (empty) bound state in
-            # O(changes) instead of reset + full re-assertion.
-            self._simplex.push_state()
-            try:
-                conflict: Optional[set] = None
-                try:
-                    plans = self._atom_plan
-                    simplex = self._simplex
-                    for var, atom in cnf.atom_of_var.items():
-                        value = sat_values[var]
-                        if value is None:
-                            continue
-                        plan = plans.get(var)
-                        if plan is None:
-                            plan = self._plan_atom(var, atom)
-                        name, pos_upper, pos_lower, neg_upper, neg_lower = plan
-                        if value:
-                            if pos_upper is not None:
-                                simplex.assert_upper(name, pos_upper, var)
-                            if pos_lower is not None:
-                                simplex.assert_lower(name, pos_lower, var)
-                        else:
-                            if neg_upper is not None:
-                                simplex.assert_upper(name, neg_upper, -var)
-                            if neg_lower is not None:
-                                simplex.assert_lower(name, neg_lower, -var)
-                    simplex.check()
-                except Infeasible as err:
-                    conflict = {t for t in err.conflict if isinstance(t, int)}
-                    farkas = err.farkas
+    # -- the CDCL theory hooks ---------------------------------------------------
 
-                if conflict is None:
-                    arith = self._simplex.concrete_model()
-                    arith = {k: v for k, v in arith.items() if not k.startswith("%")}
-                    booleans = {
-                        name: sat_values[var]
-                        for var, name in cnf.bool_of_var.items()
-                        if sat_values[var] is not None
-                    }
-                    return SatResult("sat", arith, booleans)
-            finally:
-                self._simplex.pop_state()
+    def theory_check(self, trail: List[int], level: int) -> Optional[List[int]]:
+        """Assert the bounds of atom literals trailed since the last call
+        and check feasibility; returns a theory lemma on infeasibility."""
+        simplex = self._simplex
+        while self._theory_level < level:
+            simplex.push_state()
+            self._theory_level += 1
+        plans = self._atom_plan
+        start = self._theory_head
+        self._theory_head = len(trail)
+        try:
+            for literal in trail[start:]:
+                plan = plans.get(literal if literal > 0 else -literal)
+                if plan is None:
+                    continue
+                name, pos_upper, pos_lower, neg_upper, neg_lower = plan
+                upper, lower = (pos_upper, pos_lower) if literal > 0 else (neg_upper, neg_lower)
+                if upper is not None and simplex.assert_upper(name, upper, literal):
+                    self._dirty = True
+                if lower is not None and simplex.assert_lower(name, lower, literal):
+                    self._dirty = True
+            if self._dirty:
+                simplex.check()
+                self._dirty = False
+            return None
+        except Infeasible as err:
+            if self._lemmas + 1 >= self._max_rounds:
+                raise _RoundLimit
+            self._lemmas += 1
+            # Theory lemmas are valid independently of any scope, so
+            # they persist across pops — the incremental payoff.
+            lemma = [-t for t in err.conflict if isinstance(t, int)]
+            if self._proof is not None:
+                self._proof.append(("lemma", tuple(lemma), self._farkas_entries(err.farkas)))
+            return lemma
 
-            # Learn the theory conflict and continue.  Theory lemmas are
-            # valid independently of any scope, so they persist across
-            # pops — the incremental payoff.
-            lemma = [-lit for lit in conflict]
-            if proof is not None:
-                proof.append(("lemma", tuple(lemma), self._farkas_entries(farkas)))
-            self._sat.add_clause(lemma)
-        return SatResult("unknown")
+    def theory_backtrack(self, level: int) -> None:
+        """Retract the bounds asserted above decision ``level``."""
+        while self._theory_level > level:
+            self._simplex.pop_state()
+            self._theory_level -= 1
+        self._theory_head = min(self._theory_head, len(self._sat._trail))
 
     # -- helpers ---------------------------------------------------------------
 

@@ -807,6 +807,20 @@ class ThreadedBackend(DischargeBackend):
             emit=None, batch=True, fail_fast=False):
         if emit is not None and not isinstance(emit, _LockedSink):
             emit = _LockedSink(emit)
+        # Set by the first unit that raises: a worker may dequeue the next
+        # unit before the main thread gets to cancel it, so each unit
+        # checks the event before it starts.
+        stop = threading.Event()
+
+        def guarded(unit):
+            if stop.is_set():
+                return None  # never collected: an earlier unit's error is raised first
+            try:
+                return engine.discharge_unit(unit, results, skip, on_failure, emit, batch)
+            except BaseException:
+                stop.set()
+                raise
+
         futures: List[Tuple[int, object]] = []
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             try:
@@ -825,9 +839,7 @@ class ThreadedBackend(DischargeBackend):
                                 )
                             )
                         break
-                    future = pool.submit(
-                        engine.discharge_unit, unit, results, skip, on_failure, emit, batch
-                    )
+                    future = pool.submit(guarded, unit)
                     futures.append((unit, future))
                 accounts = []
                 for unit, future in futures:

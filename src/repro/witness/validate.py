@@ -29,7 +29,9 @@ Two kinds of proof step are replayed, in certificate event order:
 ``("learn", clause)``
     A clause the SAT core learned; checked by **reverse unit
     propagation** (RUP): assuming the clause false, propagation over
-    every earlier clause must derive a conflict.
+    every earlier clause must derive a conflict.  Earlier clauses are
+    indexed by literal, so propagation visits only the clauses that
+    contain a literal it falsified.
 
 ``("input", clause)`` events are axioms (the problem clauses exactly as
 the SAT core received them).  The final, implicit step checks that the
@@ -62,27 +64,48 @@ class WitnessError(Exception):
         self.detail = message
 
 
-def _rup_check(clauses: List[Tuple[int, ...]], clause: Sequence[int], step: str) -> None:
-    """Check ``clause`` by reverse unit propagation over ``clauses``.
+class _ClauseIndex:
+    """The clauses replayed so far, indexed for unit propagation."""
 
-    Assume every literal of ``clause`` false, then run unit propagation
-    to fixpoint; the check succeeds iff a conflict (falsified clause)
-    appears.  Quadratic and simple on purpose — this is trusted code.
-    """
-    assigned = set()
-    for lit in clause:
-        if lit in assigned:
-            return  # clause contains complementary literals: trivially RUP
-        assigned.add(-lit)
-    while True:
-        progressed = False
-        for body in clauses:
+    def __init__(self) -> None:
+        self.clauses: List[Tuple[int, ...]] = []
+        #: literal -> indices of the clauses containing it
+        self.occurs: Dict[int, List[int]] = {}
+        #: indices of the clauses with at most one literal: they can be
+        #: unit or empty before any literal is assigned
+        self.short: List[int] = []
+
+    def add(self, clause: Tuple[int, ...]) -> None:
+        index = len(self.clauses)
+        self.clauses.append(clause)
+        for lit in set(clause):
+            self.occurs.setdefault(lit, []).append(index)
+        if len(clause) <= 1:
+            self.short.append(index)
+
+    def rup_check(self, clause: Sequence[int], step: str) -> None:
+        """Check ``clause`` by reverse unit propagation.
+
+        Assume every literal of ``clause`` false, then run unit
+        propagation to fixpoint; the check succeeds iff a conflict
+        (falsified clause) appears.  A clause is re-examined whenever one
+        of its literals becomes false, so every clause that turns unit or
+        empty is seen.
+        """
+        assigned = set()
+        for lit in clause:
+            if lit in assigned:
+                return  # clause contains complementary literals: trivially RUP
+            assigned.add(-lit)
+        clauses, occurs = self.clauses, self.occurs
+        pending = list(self.short)
+        for lit in assigned:
+            pending.extend(occurs.get(-lit, ()))
+        while pending:
             unit = 0
             open_count = 0
-            satisfied = False
-            for lit in body:
+            for lit in clauses[pending.pop()]:
                 if lit in assigned:
-                    satisfied = True
                     break
                 if -lit in assigned:
                     continue
@@ -90,14 +113,12 @@ def _rup_check(clauses: List[Tuple[int, ...]], clause: Sequence[int], step: str)
                 open_count += 1
                 if open_count > 1:
                     break
-            if satisfied or open_count > 1:
-                continue
-            if open_count == 0:
-                return  # conflict reached: the clause is RUP
-            assigned.add(unit)
-            progressed = True
-        if not progressed:
-            raise WitnessError(step, "unit propagation does not refute the clause")
+            else:
+                if open_count == 0:
+                    return  # conflict reached: the clause is RUP
+                assigned.add(unit)
+                pending.extend(occurs.get(-unit, ()))
+        raise WitnessError(step, "unit propagation does not refute the clause")
 
 
 def _check_farkas(
@@ -166,7 +187,7 @@ def validate(cert) -> Dict[str, int]:
     ``cert`` is any object with ``atoms``, ``assumptions`` and ``events``
     attributes in :class:`~repro.witness.certificate.Certificate` shape.
     """
-    clauses: List[Tuple[int, ...]] = []
+    clauses = _ClauseIndex()
     counts = {"inputs": 0, "lemmas": 0, "rup_steps": 0}
     for index, event in enumerate(cert.events):
         kind = event[0]
@@ -178,11 +199,11 @@ def validate(cert) -> Dict[str, int]:
             _check_farkas(cert.atoms, event[1], event[2], f"lemma[{index}]")
             counts["lemmas"] += 1
         elif kind == "learn":
-            _rup_check(clauses, event[1], f"rup[{index}]")
+            clauses.rup_check(event[1], f"rup[{index}]")
             counts["rup_steps"] += 1
         else:
             raise WitnessError(f"events[{index}]", f"unknown event kind {kind!r}")
-        clauses.append(tuple(event[1]))
-    _rup_check(clauses, tuple(-lit for lit in cert.assumptions), "goal")
+        clauses.add(tuple(event[1]))
+    clauses.rup_check(tuple(-lit for lit in cert.assumptions), "goal")
     counts["rup_steps"] += 1
     return counts

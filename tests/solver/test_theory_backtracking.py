@@ -4,8 +4,7 @@ Two families, mirroring the two halves of the fast inner loop:
 
 * the simplex bound trail — ``push_state``/``pop_state`` must restore
   the exact pre-push bound state (and leave the tableau equivalent), so
-  the DPLL(T) loop can bracket each candidate model without
-  ``reset_bounds`` + full re-assertion;
+  bound states can follow the SAT core's decision levels;
 * the CDCL core — Luby restarts and LBD clause-database reduction are
   pure heuristics and must never change SAT/UNSAT answers, checked
   against brute force on a seeded random 3-SAT corpus with the

@@ -7,6 +7,7 @@ waiters), queued-but-unstarted work dropped — and the shared caches
 must remain fully usable afterwards.
 """
 
+import sys
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.verify.discharge import (
     DischargeCancelled,
     DischargeEngine,
     DischargePlan,
+    DischargeWorkerError,
     EarlyExit,
     ObligationDischarged,
 )
@@ -130,6 +132,36 @@ class TestCancelEvent:
         monkeypatch.setattr(DischargeEngine, "discharge_unit", original)
         outcome = verify_target(target, config, cache=cache)
         assert outcome.verified is True
+
+    def test_no_worker_starts_a_unit_after_a_failure(self, monkeypatch):
+        """More workers than cores, a tiny switch interval, every unit
+        failing: once a unit raised, a worker that dequeues another unit
+        drops it, so each worker starts at most one unit."""
+        target, config = _svt()
+        plan = DischargePlan.from_obligations(iter_obligations(target, config))
+        jobs = 3
+        assert len(plan.units) > jobs
+
+        calls = []
+
+        def failing(self, unit, *args, **kwargs):
+            calls.append(unit.uid)
+            raise ValueError("unit failed")
+
+        monkeypatch.setattr(DischargeEngine, "discharge_unit", failing)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                calls.clear()
+                with pytest.raises(DischargeWorkerError):
+                    verify_target(
+                        target, _config(config, backend="threaded", jobs=jobs),
+                        cache=QueryCache(),
+                    )
+                assert len(calls) <= jobs
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProcessBackendCancellation:

@@ -1,0 +1,191 @@
+"""The literal-indexed RUP kernel against the quadratic reference.
+
+The trusted kernel replays ``learn`` steps by unit propagation over
+clauses indexed by literal.  Its predecessor rescanned every clause on
+every propagation pass; that version is kept here, as a test-only
+reference, together with a reference ``validate`` built on it.  Both
+must give the same verdict — the same step counts on acceptance, the
+same ``WitnessError.step`` on rejection — on every registry certificate
+in both regimes and on seeded deletion and perturbation mutants of
+them.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from repro.algorithms import all_specs
+from repro.pipeline import spec_config
+from repro.verify.verifier import prepare_generator, target_cfg
+from repro.witness import WitnessError, validate
+from repro.witness.validate import _check_farkas
+
+
+def reference_rup_check(clauses, clause, step):
+    """Reverse unit propagation by rescanning every clause per pass."""
+    assigned = set()
+    for lit in clause:
+        if lit in assigned:
+            return
+        assigned.add(-lit)
+    while True:
+        progressed = False
+        for body in clauses:
+            unit = 0
+            open_count = 0
+            satisfied = False
+            for lit in body:
+                if lit in assigned:
+                    satisfied = True
+                    break
+                if -lit in assigned:
+                    continue
+                unit = lit
+                open_count += 1
+                if open_count > 1:
+                    break
+            if satisfied or open_count > 1:
+                continue
+            if open_count == 0:
+                return
+            assigned.add(unit)
+            progressed = True
+        if not progressed:
+            raise WitnessError(step, "unit propagation does not refute the clause")
+
+
+def reference_validate(cert):
+    clauses = []
+    counts = {"inputs": 0, "lemmas": 0, "rup_steps": 0}
+    for index, event in enumerate(cert.events):
+        kind = event[0]
+        if kind == "input":
+            counts["inputs"] += 1
+        elif kind == "lemma":
+            if len(event) != 3:
+                raise WitnessError(f"lemma[{index}]", "malformed lemma event")
+            _check_farkas(cert.atoms, event[1], event[2], f"lemma[{index}]")
+            counts["lemmas"] += 1
+        elif kind == "learn":
+            reference_rup_check(clauses, event[1], f"rup[{index}]")
+            counts["rup_steps"] += 1
+        else:
+            raise WitnessError(f"events[{index}]", f"unknown event kind {kind!r}")
+        clauses.append(tuple(event[1]))
+    reference_rup_check(clauses, tuple(-lit for lit in cert.assumptions), "goal")
+    counts["rup_steps"] += 1
+    return counts
+
+
+def verdict(check, cert):
+    try:
+        return ("accepted", check(cert))
+    except WitnessError as err:
+        return ("rejected", err.step)
+
+
+def _certificates(spec, config):
+    generator, checker = prepare_generator(spec.target(), config)
+    checker.discharge_stream(generator.stream(target_cfg(spec.target(), config)))
+    return list(checker.certificates.values())
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """Every certificate of the registry: all programs in the unroll
+    regime, the correct ones in the invariant regime."""
+    certs = []
+    for spec in all_specs():
+        config = dataclasses.replace(spec_config(spec), witness=True)
+        certs += _certificates(spec, config)
+        if spec.expect_verified:
+            certs += _certificates(
+                spec, dataclasses.replace(config, mode="invariant", bindings={})
+            )
+    return certs
+
+
+def _delete_event(rng, cert):
+    events = list(cert.events)
+    del events[rng.randrange(len(events))]
+    return dataclasses.replace(cert, events=tuple(events))
+
+
+def _delete_derived(rng, cert):
+    """Drop one learned clause or lemma: later steps may lose their support."""
+    events = list(cert.events)
+    derived = [i for i, event in enumerate(events) if event[0] != "input"]
+    if not derived:
+        return None
+    del events[rng.choice(derived)]
+    return dataclasses.replace(cert, events=tuple(events))
+
+
+def _perturb_clause(rng, cert):
+    """Flip or drop one literal of a learned clause or lemma."""
+    events = list(cert.events)
+    derived = [i for i, event in enumerate(events) if event[0] != "input" and event[1]]
+    if not derived:
+        return None
+    index = rng.choice(derived)
+    event = events[index]
+    clause = list(event[1])
+    k = rng.randrange(len(clause))
+    if rng.random() < 0.5:
+        clause[k] = -clause[k]
+    else:
+        del clause[k]
+    events[index] = (event[0], tuple(clause)) + tuple(event[2:])
+    return dataclasses.replace(cert, events=tuple(events))
+
+
+def _perturb_farkas(rng, cert):
+    events = list(cert.events)
+    lemmas = [i for i, event in enumerate(events) if event[0] == "lemma" and event[2]]
+    if not lemmas:
+        return None
+    index = rng.choice(lemmas)
+    kind, clause, entries = events[index]
+    entries = list(entries)
+    k = rng.randrange(len(entries))
+    entries[k] = (entries[k][0], entries[k][1] + Fraction(rng.randint(1, 5), 3))
+    events[index] = (kind, clause, tuple(entries))
+    return dataclasses.replace(cert, events=tuple(events))
+
+
+def _drop_assumption(rng, cert):
+    if not cert.assumptions:
+        return None
+    assumptions = list(cert.assumptions)
+    del assumptions[rng.randrange(len(assumptions))]
+    return dataclasses.replace(cert, assumptions=tuple(assumptions))
+
+
+MUTATORS = (_delete_event, _delete_derived, _perturb_clause, _perturb_farkas, _drop_assumption)
+
+
+def test_registry_certificates_agree(certificates):
+    assert len(certificates) > 100
+    for cert in certificates:
+        indexed = verdict(validate, cert)
+        assert indexed[0] == "accepted"
+        assert indexed == verdict(reference_validate, cert)
+
+
+def test_mutants_agree(certificates):
+    rng = random.Random(20261017)
+    rejected = compared = 0
+    for cert in certificates:
+        for mutate in rng.sample(MUTATORS, 2):
+            mutant = mutate(rng, cert)
+            if mutant is None:
+                continue
+            indexed = verdict(validate, mutant)
+            assert indexed == verdict(reference_validate, mutant), mutate.__name__
+            compared += 1
+            rejected += indexed[0] == "rejected"
+    # The mutants exercise both outcomes, rejections at several steps.
+    assert compared > 150
+    assert 0 < rejected < compared
