@@ -2,8 +2,8 @@
 
 ``pytest benchmarks/bench_table1.py --benchmark-only`` times each row's
 type check and both verification regimes; the final test prints the
-assembled table (compare against the paper's Table 1 and the recorded
-run in EXPERIMENTS.md).
+assembled table (compare against the paper's Table 1; ``perfbench/run.py
+--workload table1`` times the same rows end to end and per layer).
 """
 
 import pytest

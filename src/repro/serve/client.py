@@ -96,8 +96,12 @@ class ServeClient:
         try:
             if self._socket_path is not None:
                 self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._sock.settimeout(self._connect_timeout)
-                self._sock.connect(self._socket_path)
+                try:
+                    self._sock.settimeout(self._connect_timeout)
+                    self._sock.connect(self._socket_path)
+                except OSError:
+                    self._sock.close()
+                    raise
             else:
                 self._sock = socket.create_connection(
                     (self._host, self._port), timeout=self._connect_timeout

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.simplify import simplify
 from repro.lang import ast
 from repro.solver import formula as F
-from repro.solver.encode import Encoder
+from repro.solver.encode import Encoder, EncodingMemo
 from repro.solver.profile import SolverProfile
 from repro.solver.smt import SatResult, SMTSolver
 
@@ -129,6 +129,10 @@ class QueryCache:
     queries, regardless of scheduling.  In the uncontended (serial) case
     ``acquire``/``store`` count exactly like ``lookup``/``store`` always
     did.
+
+    ``encodings`` is the :class:`~repro.solver.encode.EncodingMemo` every
+    encoder built for this cache shares (same ``max_entries`` bound), so
+    a premise or atom is encoded once per cache, not once per query.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -142,6 +146,7 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.encodings = EncodingMemo(max_entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -207,7 +212,8 @@ class QueryCache:
         ``pending`` is the number of single-flight solves currently in
         progress — nonzero only while queries are actually being solved,
         so a long-lived server's ``status`` endpoint can report live
-        solver pressure alongside the hit/miss history.
+        solver pressure alongside the hit/miss history.  ``encodings``
+        is the size of the encoding memo (bounded by ``max_entries``).
         """
         with self._lock:
             return {
@@ -217,6 +223,7 @@ class QueryCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "pending": len(self._pending),
+                "encodings": len(self.encodings),
             }
 
     def clear(self) -> None:
@@ -228,6 +235,7 @@ class QueryCache:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
+        self.encodings.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,10 @@ class SolverContext:
         witness: bool = False,
     ) -> None:
         self.bool_vars = set(bool_vars or ())
-        self.encoder = Encoder(bool_vars=self.bool_vars)
+        self.encoder = Encoder(
+            bool_vars=self.bool_vars,
+            memo=cache.encodings if cache is not None else None,
+        )
         self.solver = SMTSolver(max_rounds=max_rounds)
         #: Emit proof certificates for valid answers (see repro.witness).
         self.witness = witness

@@ -6,21 +6,34 @@ The translation performs three normalizations:
   a list of ``(guard, LinExpr)`` cases whose guards are exhaustive and
   mutually exclusive; comparisons then distribute over the cases.
 * **Linear-only arithmetic**: products and quotients with one constant
-  side fold into the linear expression; genuinely nonlinear subterms are
-  abstracted as fresh *opaque* variables (recorded in
-  :attr:`Encoder.opaque`) — callers such as the verifier may add
-  instantiation lemmas about them, mirroring how the paper rewrites
-  nonlinear code for CPAChecker (Section 6.1).
+  side fold into the linear expression; other products become monomial
+  atoms (recorded in :attr:`Encoder.monomials`), and quotients by a sum
+  become *opaque* atoms named by their pretty-printed syntax (recorded
+  in :attr:`Encoder.opaque`).  The verifier reads both tables to add
+  instantiation lemmas, mirroring how the paper rewrites nonlinear code
+  for CPAChecker (Section 6.1).
 * **Indexed access naming**: ``q[3]`` (a constant index) becomes the
-  scalar variable ``q[3]``; symbolic indices are delegated to the
-  ``atom_namer`` callback, which the VC generator uses to apply
-  Ackermann-style congruence instantiation.
+  scalar variable ``q[3]``; a symbolic index makes the access opaque.
+
+Encodings are memoized.  The verifier re-encodes the same assumptions,
+path and Ψ premises for query after query, so every
+:class:`Encoder` consults an :class:`EncodingMemo` keyed on
+``(expr, bool_vars)`` at its public :meth:`Encoder.boolean` entry and at
+every numeric comparison, where the polynomial arithmetic happens.  An
+entry holds the (hash-consed, so identical) formula together with the
+side-table items the encoding recorded, and a hit replays those items,
+so the tables keep the contents and insertion order of an unmemoized
+run.  A :class:`~repro.solver.context.QueryCache` owns one memo
+(``QueryCache.encodings``) shared by every encoder built for it; an
+encoder built without one gets a private memo.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.lang import ast
 from repro.lang.pretty import pretty_expr
@@ -36,10 +49,50 @@ class EncodeError(ValueError):
 #: One arm of a numeric case split.
 Case = Tuple[F.Formula, LinExpr]
 
+#: A memoized encoding: the formula, then the ``opaque`` and
+#: ``monomials`` items the encoding recorded, in insertion order.
+Encoding = Tuple[
+    F.Formula, Tuple[Tuple[str, ast.Expr], ...], Tuple[Tuple[str, Monomial], ...]
+]
 
-def default_atom_namer(expr: ast.Expr) -> str:
-    """Name an opaque term canonically by its pretty-printed syntax."""
-    return f"<{pretty_expr(expr)}>"
+
+class EncodingMemo:
+    """A thread-safe LRU map from ``(expr, bool_vars)`` to an :data:`Encoding`.
+
+    Bounded at ``max_entries`` (the least recently used entry goes
+    first).  Only finished encodings are stored, never a failed one, so
+    an :class:`EncodeError` is raised again on every call.  Entries hold
+    interned formulas: :func:`repro.solver.intern.clear` must not run
+    while a memo that will be consulted again is live.
+    """
+
+    def __init__(self, max_entries: int = 4096) -> None:
+        self._entries: "OrderedDict[Tuple[ast.Expr, FrozenSet[str]], Encoding]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+        self.max_entries = max_entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Tuple[ast.Expr, FrozenSet[str]]) -> Optional[Encoding]:
+        with self._lock:
+            encoding = self._entries.get(key)
+            if encoding is not None:
+                self._entries.move_to_end(key)
+            return encoding
+
+    def put(self, key: Tuple[ast.Expr, FrozenSet[str]], encoding: Encoding) -> None:
+        with self._lock:
+            self._entries[key] = encoding
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
 class Encoder:
@@ -50,20 +103,19 @@ class Encoder:
     bool_vars:
         Names of source variables with boolean type (they become
         propositional variables rather than arithmetic ones).
-    atom_namer:
-        Callback assigning a solver variable name to non-linear or
-        symbolically-indexed subterms.  Defaults to canonical pretty
-        printing, which is adequate when no congruence reasoning is
-        needed.
+    memo:
+        The :class:`EncodingMemo` to consult and fill; a private one
+        when None.  Encoders sharing a memo share only its entries: each
+        keeps its own ``opaque`` and ``monomials`` tables.
     """
 
     def __init__(
         self,
-        bool_vars: Optional[Set[str]] = None,
-        atom_namer: Callable[[ast.Expr], str] = default_atom_namer,
+        bool_vars: Optional[Iterable[str]] = None,
+        memo: Optional[EncodingMemo] = None,
     ) -> None:
-        self.bool_vars = set(bool_vars or ())
-        self.atom_namer = atom_namer
+        self.bool_vars: FrozenSet[str] = frozenset(bool_vars or ())
+        self.memo = memo if memo is not None else EncodingMemo()
         #: opaque solver variable name -> the AST term it stands for
         self.opaque: Dict[str, ast.Expr] = {}
         #: composite monomial name -> its factor structure (for lemmas)
@@ -73,6 +125,38 @@ class Encoder:
 
     def boolean(self, expr: ast.Expr) -> F.Formula:
         """Encode a boolean expression as a formula."""
+        return self._memoized(expr, self._boolean)
+
+    def _memoized(
+        self, expr: ast.Expr, encode: Callable[[ast.Expr], F.Formula]
+    ) -> F.Formula:
+        """``encode(expr)``, answered from :attr:`memo` when it can be.
+
+        A miss encodes into fresh side tables, merges them into the
+        current ones (also when ``encode`` raises, as an unmemoized
+        encoder would have recorded them) and stores the result.
+        """
+        key = (expr, self.bool_vars)
+        encoding = self.memo.get(key)
+        if encoding is None:
+            outer = self.opaque, self.monomials
+            self.opaque, self.monomials = {}, {}
+            try:
+                formula = encode(expr)
+            finally:
+                opaque, monomials = self.opaque, self.monomials
+                self.opaque, self.monomials = outer
+                self.opaque.update(opaque)
+                self.monomials.update(monomials)
+            encoding = (formula, tuple(opaque.items()), tuple(monomials.items()))
+            self.memo.put(key, encoding)
+            return formula
+        formula, opaque_items, monomial_items = encoding
+        self.opaque.update(opaque_items)
+        self.monomials.update(monomial_items)
+        return formula
+
+    def _boolean(self, expr: ast.Expr) -> F.Formula:
         if isinstance(expr, ast.BoolLit):
             return F.TRUE_F if expr.value else F.FALSE_F
         if isinstance(expr, ast.Var):
@@ -80,20 +164,20 @@ class Encoder:
                 return F.BVar(expr.name)
             raise EncodeError(f"variable {expr.name} used as boolean but not declared bool")
         if isinstance(expr, ast.Not):
-            return F.mk_not(self.boolean(expr.operand))
+            return F.mk_not(self._boolean(expr.operand))
         if isinstance(expr, ast.BinOp):
             if expr.op == "&&":
-                return F.mk_and(self.boolean(expr.left), self.boolean(expr.right))
+                return F.mk_and(self._boolean(expr.left), self._boolean(expr.right))
             if expr.op == "||":
-                return F.mk_or(self.boolean(expr.left), self.boolean(expr.right))
+                return F.mk_or(self._boolean(expr.left), self._boolean(expr.right))
             if expr.op in ast.COMPARATORS:
                 if self._is_boolean(expr.left) or self._is_boolean(expr.right):
                     return self._boolean_comparison(expr)
-                return self._numeric_comparison(expr.op, expr.left, expr.right)
+                return self._memoized(expr, self._numeric_comparison)
             raise EncodeError(f"operator {expr.op} is not boolean")
         if isinstance(expr, ast.Ternary):
-            cond = self.boolean(expr.cond)
-            return F.mk_ite(cond, self.boolean(expr.then), self.boolean(expr.orelse))
+            cond = self._boolean(expr.cond)
+            return F.mk_ite(cond, self._boolean(expr.then), self._boolean(expr.orelse))
         if isinstance(expr, ast.ForAll):
             raise EncodeError("quantifiers must be instantiated before encoding")
         raise EncodeError(f"cannot encode {expr!r} as a boolean")
@@ -130,7 +214,7 @@ class Encoder:
                 result.append((F.mk_and(guard, F.mk_not(nonneg)), -poly))
             return _prune(result)
         if isinstance(expr, ast.Ternary):
-            cond = self.boolean(expr.cond)
+            cond = self._boolean(expr.cond)
             result = []
             for guard, poly in self._poly_cases(expr.then):
                 result.append((F.mk_and(cond, guard), poly))
@@ -188,18 +272,18 @@ class Encoder:
     def _boolean_comparison(self, expr: ast.BinOp) -> F.Formula:
         if expr.op not in ("==", "!="):
             raise EncodeError(f"booleans cannot be compared with {expr.op}")
-        iff = F.mk_iff(self.boolean(expr.left), self.boolean(expr.right))
+        iff = F.mk_iff(self._boolean(expr.left), self._boolean(expr.right))
         return iff if expr.op == "==" else F.mk_not(iff)
 
-    def _numeric_comparison(self, op: str, left: ast.Expr, right: ast.Expr) -> F.Formula:
+    def _numeric_comparison(self, expr: ast.BinOp) -> F.Formula:
         arms = []
-        for g1, p1 in self._poly_cases(left):
-            for g2, p2 in self._poly_cases(right):
+        for g1, p1 in self._poly_cases(expr.left):
+            for g2, p2 in self._poly_cases(expr.right):
                 guard = F.mk_and(g1, g2)
                 if isinstance(guard, F.FFalse):
                     continue
                 l1, l2 = self._poly_to_lin(p1), self._poly_to_lin(p2)
-                arms.append(F.mk_and(guard, F.mk_atom(op, l1, l2)))
+                arms.append(F.mk_and(guard, F.mk_atom(expr.op, l1, l2)))
         return F.mk_or(*arms)
 
     def _divide(self, expr: ast.BinOp) -> List[Tuple[F.Formula, Polynomial]]:
@@ -220,7 +304,7 @@ class Encoder:
         return _prune(result)
 
     def _opaque(self, expr: ast.Expr) -> str:
-        name = self.atom_namer(expr)
+        name = f"<{pretty_expr(expr)}>"
         self.opaque[name] = expr
         return name
 

@@ -118,20 +118,12 @@ class ValidityChecker:
             raise RuntimeError("solver gave up (round limit)")
         return model
 
-    def is_satisfiable(self, exprs: Iterable[ast.Expr]) -> SatResult:
-        """Check satisfiability of a conjunction of boolean expressions."""
-        encoder = Encoder(bool_vars=self.bool_vars)
-        solver = SMTSolver()
-        for expr in exprs:
-            solver.add(encoder.boolean(expr))
-        return solver.check()
-
     # -- internals -------------------------------------------------------------
 
     def _solve(
         self, goal: ast.Expr, premises: Tuple[ast.Expr, ...]
     ) -> Tuple[SatResult, SMTSolver]:
-        encoder = Encoder(bool_vars=self.bool_vars)
+        encoder = Encoder(bool_vars=self.bool_vars, memo=self.cache.encodings)
         solver = SMTSolver(profile=self.profile)
         if self.witness:
             solver.enable_proof()

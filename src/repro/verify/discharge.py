@@ -77,7 +77,7 @@ from repro.solver.context import (
     SolverContext,
     oracle_digest,
 )
-from repro.solver.encode import EncodeError, Encoder
+from repro.solver.encode import EncodeError, Encoder, EncodingMemo
 from repro.solver.interface import ValidityChecker
 from repro.solver.profile import SolverProfile
 from repro.verify import lemmas as lemma_mod
@@ -492,7 +492,7 @@ class DischargeEngine:
 
     def _lemmas(self, exprs: Sequence[ast.Expr]) -> List[ast.Expr]:
         # Discovery pass: find all monomial atoms the query will create.
-        encoder = Encoder()
+        encoder = Encoder(memo=self.cache.encodings)
         for expr in exprs:
             try:
                 encoder.boolean(expr)
@@ -637,7 +637,9 @@ class DischargeEngine:
             falsified = [
                 (index, obligation)
                 for index, obligation, suffix, _ in pending
-                if _model_falsifies(_guarded_goal(obligation.goal, suffix), model)
+                if _model_falsifies(
+                    _guarded_goal(obligation.goal, suffix), model, self.cache.encodings
+                )
             ]
             if not falsified:
                 break  # model decides nothing we can evaluate
@@ -903,6 +905,7 @@ class _RecordingCache:
     def __init__(self, inner: QueryCache) -> None:
         self.inner = inner
         self.entries: Dict[str, CacheEntry] = {}
+        self.encodings = inner.encodings
 
     def acquire(self, key) -> Optional[CacheEntry]:
         entry = self.inner.acquire(key)
@@ -1394,7 +1397,7 @@ def _guarded_goal(goal: ast.Expr, suffix: Tuple[ast.Expr, ...]) -> ast.Expr:
     return ast.BinOp("||", ast.Not(guard), goal)
 
 
-def _model_falsifies(goal: ast.Expr, model: Model) -> bool:
+def _model_falsifies(goal: ast.Expr, model: Model, memo: EncodingMemo) -> bool:
     """Does the (total, rational) model make ``goal`` false?
 
     Conservative: any variable the model misses or any construct the
@@ -1402,6 +1405,6 @@ def _model_falsifies(goal: ast.Expr, model: Model) -> bool:
     """
     arith, booleans = model
     try:
-        return not F.evaluate(Encoder().boolean(goal), arith, booleans)
+        return not F.evaluate(Encoder(memo=memo).boolean(goal), arith, booleans)
     except (KeyError, EncodeError, ArithmeticError):
         return False

@@ -224,6 +224,7 @@ class TestQueryCacheLRU:
             "misses": 1,
             "evictions": 1,
             "pending": 0,
+            "encodings": 0,
         }
 
     def test_default_capacity(self):
