@@ -27,7 +27,8 @@ Design rules (see ``docs/cache.md`` for the on-disk format spec):
 The store is consulted *before* any unit is planned (hits never reach
 the solver) and written *after* a clean, complete run (early-exited or
 cancelled runs record nothing — a partially-discharged unit must not
-masquerade as a verdict).
+masquerade as a verdict).  Lookups only read; the rows a run was
+answered from get their ``last_used`` refreshed in one batch.
 """
 
 from __future__ import annotations
@@ -272,8 +273,10 @@ class ObligationStore:
     def lookup(self, oid: str, fingerprint: str) -> Optional[StoredVerdict]:
         """The persisted verdict for ``(oid, fingerprint)``, or None.
 
-        Every decode failure deletes the offending row and reports a
-        miss — a damaged entry costs one re-solve, never a crash.
+        Read-only on a decodable row: a verification run marks the rows
+        it was answered from with one :meth:`touch` batch.  Every decode
+        failure deletes the offending row and reports a miss — a damaged
+        entry costs one re-solve, never a crash.
         """
         with self._lock:
             if self.degraded:
@@ -329,15 +332,36 @@ class ObligationStore:
                     # Truncation keeps the row intact on disk while
                     # guaranteeing the validator rejects what we serve.
                     witness = witness[: len(witness) // 2]
-            try:
-                conn.execute(
-                    "UPDATE obligations SET last_used = ? WHERE oid = ? AND fp = ?",
-                    (time.time(), oid, fingerprint),
-                )
-                conn.commit()
-            except sqlite3.DatabaseError:
-                self._reset_connection()
             return StoredVerdict(valid, status, arith, booleans, witness)
+
+    def touch(self, fingerprint: str, oids: Sequence[str]) -> None:
+        """Set ``last_used`` (which drives :meth:`gc`) to now on the rows
+        a verification run was answered from.
+
+        One UPDATE batch and one commit for the whole run, retried on a
+        transient busy error.  A no-op for an empty list or a degraded
+        store; a write that still fails only leaves ``last_used`` stale.
+        """
+        if not oids:
+            return
+        now = time.time()
+        rows = [(now, oid, fingerprint) for oid in oids]
+        with self._lock:
+            if self.degraded:
+                return
+            try:
+                conn = self._connect()
+
+                def write():
+                    conn.executemany(
+                        "UPDATE obligations SET last_used = ? WHERE oid = ? AND fp = ?",
+                        rows,
+                    )
+                    conn.commit()
+
+                self._run(write)
+            except (sqlite3.DatabaseError, OSError):
+                self._reset_connection()
 
     def _reset_connection(self) -> None:
         if self._conn is not None:

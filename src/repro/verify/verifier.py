@@ -323,7 +323,9 @@ class ObligationChecker(DischargeEngine):
         ``(oid, fingerprint)``: hits are reported under the pseudo-unit
         ``"store"`` without ever reaching the plan, misses flow into
         discharge as usual, and a clean complete run writes its fresh
-        verdicts back in one transaction.
+        verdicts back in one transaction.  The rows that answered hits
+        get their ``last_used`` refreshed in one batch per run, fail-fast
+        exits included.
         """
         backend = resolve_backend(self.incremental, self.jobs, self.backend_choice)
         if (
@@ -340,10 +342,12 @@ class ObligationChecker(DischargeEngine):
         store_failures: Dict[int, ObligationFailure] = {}
         #: filtered position → original stream index, for re-keying.
         kept: List[int] = []
+        #: oids answered from the store, for the one ``last_used`` batch.
+        answered: List[str] = []
         units_seen: List[DischargeUnit] = []
         if store is not None:
             obligations = self._store_filter(
-                obligations, store, store_failures, kept, emit, fail_fast
+                obligations, store, store_failures, kept, answered, emit, fail_fast
             )
         units = DischargePlan.stream_units(obligations, emit=emit)
         if store is not None:
@@ -362,6 +366,7 @@ class ObligationChecker(DischargeEngine):
         self.units_run += len(accounts)
         self.merge_accounts(accounts)
         if store is not None:
+            store.touch(self.store_fingerprint, answered)
             self._store_writeback(store, units_seen, accounts, results)
             # Solved obligations were renumbered by the filter; restore
             # original stream indices and fold in the store verdicts so
@@ -376,10 +381,12 @@ class ObligationChecker(DischargeEngine):
         store: ObligationStore,
         store_failures: Dict[int, ObligationFailure],
         kept: List[int],
+        answered: List[str],
         emit: EventSink,
         fail_fast: bool,
     ):
-        """Yield only store-missed obligations, reporting hits inline."""
+        """Yield only store-missed obligations, reporting hits inline and
+        collecting the oids they answered into ``answered``."""
         fingerprint = self.store_fingerprint
         stream = iter(obligations)
         index = -1
@@ -403,6 +410,7 @@ class ObligationChecker(DischargeEngine):
                         kept.append(index)
                         yield obligation
                         continue
+                answered.append(obligation.oid)
                 if emit is not None:
                     emit(
                         ObligationDischarged(
@@ -415,6 +423,7 @@ class ObligationChecker(DischargeEngine):
                 model = (verdict.arith_model or {}, verdict.bool_model or {})
             failure = self._failure(obligation, False, model)
             store_failures[index] = failure
+            answered.append(obligation.oid)
             if emit is not None:
                 emit(
                     ObligationRefuted(
@@ -632,19 +641,25 @@ def verify_target(
             checker.incremental, checker.jobs, checker.backend_choice, cache=cache
         )
     store_before = checker.store.snapshot() if checker.store is not None else None
-    stream = generator.stream(target_cfg(target, config))
-    failures = checker.discharge_stream(
-        stream, emit=on_event, fail_fast=config.fail_fast
-    )
-    stats = checker.solver_stats()
-    store_stats: Optional[Dict[str, int]] = None
-    if checker.store is not None:
-        # Delta, not cumulative: the server shares one store across
-        # requests and each outcome reports its own traffic.
-        store_stats = checker.store.delta_since(store_before)
-        store_stats["entries"] = checker.store.entry_count()
-        if checker.store.degraded:
-            store_stats["degraded"] = True
+    try:
+        stream = generator.stream(target_cfg(target, config))
+        failures = checker.discharge_stream(
+            stream, emit=on_event, fail_fast=config.fail_fast
+        )
+        stats = checker.solver_stats()
+        store_stats: Optional[Dict[str, int]] = None
+        if checker.store is not None:
+            # Delta, not cumulative: the server shares one store across
+            # requests and each outcome reports its own traffic.
+            store_stats = checker.store.delta_since(store_before)
+            store_stats["entries"] = checker.store.entry_count()
+            if checker.store.degraded:
+                store_stats["degraded"] = True
+    finally:
+        if checker.store is not None and checker.store is not config.store:
+            # Opened from a path for this run alone; a caller's instance
+            # (the server's shared store) stays open.
+            checker.store.close()
 
     profile_dict: Optional[Dict[str, int]] = None
     if config.profile:

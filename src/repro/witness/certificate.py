@@ -12,7 +12,10 @@ is needed.
 Serialization is **canonical JSON**: sorted keys, no whitespace, exact
 rationals as ``"p/q"`` strings, and a schema version — so a certificate
 stored in the obligation store (or shipped over the serve protocol)
-round-trips byte-identically and is safe to fingerprint.
+round-trips byte-identically and is safe to fingerprint.  Decoding
+accepts only that canonical spelling (``"p"`` for an integer, ``"p/q"``
+in lowest terms with ``q > 1`` otherwise) and yields an ``int`` for an
+integral value, a ``Fraction`` for any other.
 """
 
 from __future__ import annotations
@@ -22,14 +25,32 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from repro.witness.validate import WitnessError
+from repro.witness.validate import Rational, WitnessError
 
 #: Bump when the certificate JSON shape changes; validators reject
 #: certificates from other schema versions.
 SCHEMA_VERSION = 1
 
 #: ``(op, ((name, coeff), ...), const)`` — one atom's linear form.
-Atom = Tuple[str, Tuple[Tuple[str, Fraction], ...], Fraction]
+Atom = Tuple[str, Tuple[Tuple[str, Rational], ...], Rational]
+
+
+def _rational(text: object) -> Rational:
+    """Decode a canonical ``"p"`` or ``"p/q"`` string; any other spelling
+    (``"6/4"``, ``"3/1"``, ``"+3"``, ``" 3"``, ``"1.5"``, a JSON number)
+    raises ``ValueError``."""
+    if type(text) is str:
+        num, slash, den = text.partition("/")
+        try:
+            value = Fraction(int(num), int(den)) if slash else int(num)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            # Canonical iff it prints back unchanged: lowest terms, q > 1
+            # (a Fraction with q == 1 prints without the "/q").
+            if str(value) == text:
+                return value
+    raise ValueError(f"non-canonical rational {text!r}")
 
 
 @dataclass
@@ -105,15 +126,15 @@ class Certificate:
             atoms: Dict[int, Atom] = {}
             for key, atom in payload["atoms"].items():
                 coeffs = tuple(
-                    sorted((name, Fraction(c)) for name, c in atom["coeffs"].items())
+                    sorted((name, _rational(c)) for name, c in atom["coeffs"].items())
                 )
-                atoms[int(key)] = (atom["op"], coeffs, Fraction(atom["const"]))
+                atoms[int(key)] = (atom["op"], coeffs, _rational(atom["const"]))
             events = []
             for wire in payload["events"]:
                 kind = wire[0]
-                clause = tuple(int(l) for l in wire[1])
+                clause = tuple(map(int, wire[1]))
                 if kind == "lemma":
-                    entries = tuple((int(lit), Fraction(mu)) for lit, mu in wire[2])
+                    entries = tuple((int(lit), _rational(mu)) for lit, mu in wire[2])
                     events.append((kind, clause, entries))
                 elif kind in ("input", "learn"):
                     events.append((kind, clause))
@@ -121,7 +142,7 @@ class Certificate:
                     raise ValueError(f"unknown event kind {kind!r}")
             return cls(
                 atoms=atoms,
-                assumptions=tuple(int(l) for l in payload["assumptions"]),
+                assumptions=tuple(map(int, payload["assumptions"])),
                 events=tuple(events),
                 oid=payload.get("oid"),
                 fingerprint=payload.get("fingerprint"),

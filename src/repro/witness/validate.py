@@ -2,9 +2,10 @@
 
 This module is the *entire* trusted computing base of the proof-witness
 subsystem: it re-checks a :class:`~repro.witness.certificate.Certificate`
-using only exact rational arithmetic (:mod:`fractions`) and unit
-propagation — no CDCL search, no simplex pivoting, no imports from the
-solver packages.  A certificate that passes :func:`validate` proves that
+using only exact rational arithmetic (``int`` and
+:class:`~fractions.Fraction`, which mix exactly) and unit propagation —
+no CDCL search, no simplex pivoting, no imports from the solver
+packages.  A certificate that passes :func:`validate` proves that
 the conjunction of its input clauses (under its assumption literals) is
 unsatisfiable *relative to the atom table's theory semantics*; what the
 kernel deliberately does **not** re-check (the Tseitin encoding of the
@@ -45,9 +46,13 @@ step; the kernel fails closed (anything unexpected is a rejection).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
-_ZERO = Fraction(0)
+#: An exact rational; decoded certificates keep integral values as ints.
+Rational = Union[int, Fraction]
+
+#: An int, so Farkas sums over integral values never leave ``int``.
+_ZERO = 0
 
 
 class WitnessError(Exception):
@@ -122,9 +127,9 @@ class _ClauseIndex:
 
 
 def _check_farkas(
-    atoms: Dict[int, Tuple[str, Tuple[Tuple[str, Fraction], ...], Fraction]],
+    atoms: Dict[int, Tuple[str, Tuple[Tuple[str, Rational], ...], Rational]],
     clause: Sequence[int],
-    entries: Sequence[Tuple[int, Fraction]],
+    entries: Sequence[Tuple[int, Rational]],
     step: str,
 ) -> None:
     """Check one theory lemma's Farkas witness.
@@ -138,7 +143,7 @@ def _check_farkas(
     if not entries:
         raise WitnessError(step, "empty Farkas combination")
     negated = {-lit for lit in clause}
-    combo: Dict[str, Fraction] = {}
+    combo: Dict[str, Rational] = {}
     const = _ZERO
     any_strict = False
     for lit, mu in entries:

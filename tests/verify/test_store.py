@@ -7,15 +7,18 @@ counted miss, never a crash or a wrong verdict.
 """
 
 import dataclasses
+import gc
 import json
 import os
 import re
 import sqlite3
+import time
 
 import pytest
 
+from repro import faults
 from repro.algorithms import get
-from repro.pipeline import spec_config
+from repro.pipeline import Pipeline, spec_config
 from repro.verify.store import (
     SCHEMA_VERSION,
     STORE_ENV_VAR,
@@ -214,6 +217,115 @@ class TestMaintenance:
         assert stats["path"] == store.path
 
 
+def _commits(store):
+    """A live list of the COMMIT statements ``store``'s connection runs."""
+    statements = []
+    store._connect().set_trace_callback(
+        lambda sql: statements.append(sql)
+        if sql.lstrip().upper().startswith("COMMIT") else None
+    )
+    return statements
+
+
+def _sql(path, statement):
+    """Run one statement on a fresh connection; returns its rows."""
+    conn = sqlite3.connect(path)
+    try:
+        with conn:
+            return conn.execute(statement).fetchall()
+    finally:
+        conn.close()
+
+
+def _last_used(path):
+    return dict(_sql(path, "SELECT oid, last_used FROM obligations"))
+
+
+def _age_rows(path):
+    _sql(path, "UPDATE obligations SET last_used = 0")
+
+
+def _fingerprint(path):
+    (fingerprint,) = _sql(path, "SELECT DISTINCT fp FROM obligations")
+    return fingerprint[0]
+
+
+class TestLastUsed:
+    """A verification run refreshes ``last_used`` on the rows it was
+    answered from in one write transaction; lookups only read."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_faults(self):
+        yield
+        faults.install(None)
+        faults.reset()
+
+    def test_warm_witnessed_run_commits_once(self, tmp_path):
+        store = ObligationStore(os.fspath(tmp_path / "store.sqlite"))
+        cold = _run("svt", store, witness=True)
+        commits = _commits(store)
+        warm = _run("svt", store, witness=True)
+        assert warm.store["hits"] == warm.store["validated_hits"] == cold.obligations_total
+        assert warm.solve_calls == 0
+        assert len(commits) == 1
+
+    def test_lookup_commits_nothing(self, tmp_path):
+        path = os.fspath(tmp_path / "store.sqlite")
+        cold = _run("svt", path)
+        _age_rows(path)
+        store = ObligationStore(path)
+        commits = _commits(store)
+        fingerprint = _fingerprint(path)
+        for oid in cold.oids:
+            assert store.lookup(oid, fingerprint) is not None
+        assert commits == []
+        assert set(_last_used(path).values()) == {0}
+
+    @pytest.mark.parametrize("spec_name", ["svt", "bad_svt_leaks_value"])
+    def test_hits_refresh_last_used_and_survive_gc(self, tmp_path, spec_name):
+        path = os.fspath(tmp_path / "store.sqlite")
+        cold = _run(spec_name, path)
+        _age_rows(path)
+        before = time.time()
+        warm = _run(spec_name, path)
+        assert warm.store["hits"] == cold.obligations_total
+        stamps = _last_used(path)
+        assert set(stamps) == set(cold.oids)
+        assert min(stamps.values()) >= before - 1
+        store = ObligationStore(path)
+        assert store.gc(max_age_days=1) == 0
+        assert store.entry_count() == cold.obligations_total
+
+    def test_degraded_store_touch_does_nothing(self, tmp_path):
+        path = os.fspath(tmp_path / "store.sqlite")
+        cold = _run("svt", path)
+        _age_rows(path)
+        store = ObligationStore(path)
+        commits = _commits(store)
+        store.touch(_fingerprint(path), [])
+        store.degraded = True
+        store.touch(_fingerprint(path), cold.oids)
+        assert commits == []
+        assert set(_last_used(path).values()) == {0}
+
+    def test_busy_touch_is_retried(self, tmp_path):
+        path = os.fspath(tmp_path / "store.sqlite")
+        store = ObligationStore(path)
+        cold = _run("svt", store)
+        _age_rows(path)
+        # One store-busy occurrence per lookup, then the touch.
+        faults.install(f"store-busy@{cold.obligations_total + 1}")
+        warm = _run("svt", store)
+        assert warm.verified is True
+        assert warm.solve_calls == 0
+        assert warm.store["busy_retries"] == 1
+        assert store.degraded is False
+        assert faults.active().snapshot() == [
+            ("store-busy", str(cold.obligations_total + 1), "")
+        ]
+        assert min(_last_used(path).values()) > 0
+
+
 class TestConfiguration:
     def test_default_path_respects_xdg(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", os.fspath(tmp_path))
@@ -232,6 +344,42 @@ class TestConfiguration:
         resolved = resolve_store(os.fspath(tmp_path / "t.sqlite"))
         assert isinstance(resolved, ObligationStore)
         assert resolved.path == os.fspath(tmp_path / "t.sqlite")
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_run_closes_a_store_it_opened_from_a_path(self, tmp_path):
+        """A store built from a path for one run is closed when the run
+        returns, not when the cyclic collector reaches it; a caller's
+        instance stays open."""
+        path = os.fspath(tmp_path / "store.sqlite")
+
+        def open_descriptors():
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:
+                    continue
+                count += target.startswith(path)
+            return count
+
+        spec = get("svt")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = Pipeline().run(
+                spec.source, config=_config(spec_config(spec), store=path)
+            )
+            assert run.outcome.store["writes"] == run.outcome.obligations_total
+            assert open_descriptors() == 0
+            store = ObligationStore(path)
+            Pipeline().run(spec.source, config=_config(spec_config(spec), store=store))
+            assert open_descriptors() == 1
+            store.close()
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_env_var_enables_store_for_cli_configs(self, monkeypatch, tmp_path):
         import argparse

@@ -4,13 +4,14 @@ obligation-store round trip."""
 import dataclasses
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from repro.algorithms import get
 from repro.pipeline import Pipeline, spec_config
 from repro.verify.store import ObligationStore
-from repro.verify.verifier import prepare_generator, target_cfg, verify_target
+from repro.verify.verifier import prepare_generator, target_cfg
 from repro.witness import SCHEMA_VERSION, Certificate, WitnessError, validate
 
 
@@ -26,6 +27,41 @@ def svt_certificates():
     assert not failures
     assert checker.certificates
     return checker
+
+
+def _rationals(certificate):
+    """Every rational of a certificate: coefficients, constants, Farkas
+    multipliers."""
+    for _, coeffs, const in certificate.atoms.values():
+        for _, value in coeffs:
+            yield value
+        yield const
+    for event in certificate.events:
+        if event[0] == "lemma":
+            for _, value in event[2]:
+                yield value
+
+
+def _with_rational(checker, position, spelling):
+    """A real certificate's text with one rational replaced by the JSON
+    value ``spelling``."""
+    oid = next(
+        oid
+        for oid, certificate in checker.certificates.items()
+        if any(event[0] == "lemma" for event in certificate.events)
+    )
+    payload = json.loads(checker.witness_text(oid))
+    value = json.loads(spelling)
+    if position == "farkas":
+        lemma = next(event for event in payload["events"] if event[0] == "lemma")
+        lemma[2][0][1] = value
+    else:
+        atom = next(a for a in payload["atoms"].values() if a["coeffs"])
+        if position == "const":
+            atom["const"] = value
+        else:
+            atom["coeffs"][min(atom["coeffs"])] = value
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class TestCanonicalJson:
@@ -58,6 +94,17 @@ class TestCanonicalJson:
         # was not touched.
         assert original.oid is None or original.oid == oid
 
+    def test_integral_values_decode_to_int(self, svt_certificates):
+        kinds = set()
+        for certificate in svt_certificates.certificates.values():
+            decoded = Certificate.from_json(certificate.to_json())
+            for value in _rationals(decoded):
+                kinds.add(type(value))
+                assert type(value) is int or (
+                    type(value) is Fraction and value.denominator > 1
+                ), value
+        assert kinds == {int, Fraction}
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -66,9 +113,22 @@ class TestCanonicalJson:
             "[]",
             '{"schema": 999}',
             '{"schema": 1}',
+            # Non-canonical rationals (and a JSON number), each put in
+            # place of one rational of a real certificate.
+            *(
+                (position, spelling)
+                for position in ("coeff", "const", "farkas")
+                for spelling in (
+                    '"6/4"', '"3/1"', '"+3"', '"03"', '" 3"', '"-0"', '"1.5"',
+                    '"1/0"', '"1/-2"', "3",
+                )
+            ),
         ],
+        ids=lambda text: "=".join(text) if isinstance(text, tuple) else None,
     )
-    def test_malformed_text_is_a_decode_error(self, text):
+    def test_malformed_text_is_a_decode_error(self, text, svt_certificates):
+        if isinstance(text, tuple):
+            text = _with_rational(svt_certificates, *text)
         with pytest.raises(WitnessError) as err:
             Certificate.from_json(text)
         assert err.value.step == "decode"

@@ -1,13 +1,15 @@
-"""The literal-indexed RUP kernel against the quadratic reference.
+"""The trusted kernel against its earlier, simpler form.
 
-The trusted kernel replays ``learn`` steps by unit propagation over
-clauses indexed by literal.  Its predecessor rescanned every clause on
-every propagation pass; that version is kept here, as a test-only
-reference, together with a reference ``validate`` built on it.  Both
-must give the same verdict — the same step counts on acceptance, the
-same ``WitnessError.step`` on rejection — on every registry certificate
-in both regimes and on seeded deletion and perturbation mutants of
-them.
+The kernel replays ``learn`` steps by unit propagation over clauses
+indexed by literal, and sums Farkas combinations from an ``int`` zero,
+so integral values (most of a decoded certificate's) stay ints.  Its
+predecessors rescanned every clause on every propagation pass and did
+every Farkas sum in ``Fraction``; both are kept here, as test-only
+references, together with a reference ``validate`` built on them.
+Kernel and reference must give the same verdict — the same step counts
+on acceptance, the same ``WitnessError`` step and message on rejection —
+on every registry certificate in both regimes, decoded from its
+canonical JSON, and on seeded deletion and perturbation mutants of them.
 """
 
 import dataclasses
@@ -19,8 +21,9 @@ import pytest
 from repro.algorithms import all_specs
 from repro.pipeline import spec_config
 from repro.verify.verifier import prepare_generator, target_cfg
-from repro.witness import WitnessError, validate
-from repro.witness.validate import _check_farkas
+from repro.witness import Certificate, WitnessError, validate
+
+_ZERO = Fraction(0)
 
 
 def reference_rup_check(clauses, clause, step):
@@ -56,6 +59,55 @@ def reference_rup_check(clauses, clause, step):
             raise WitnessError(step, "unit propagation does not refute the clause")
 
 
+def reference_check_farkas(atoms, clause, entries, step):
+    """The Farkas check with every value coerced to ``Fraction``."""
+    if not entries:
+        raise WitnessError(step, "empty Farkas combination")
+    negated = {-lit for lit in clause}
+    combo = {}
+    const = _ZERO
+    any_strict = False
+    for lit, mu in entries:
+        mu = Fraction(mu)
+        if lit not in negated:
+            raise WitnessError(step, f"literal {lit} is not a premise of the lemma")
+        atom = atoms.get(abs(lit))
+        if atom is None:
+            raise WitnessError(step, f"literal {lit} has no atom table entry")
+        op, coeffs, atom_const = atom
+        if op == "=":
+            if lit < 0:
+                raise WitnessError(step, "negated equality literal in a Farkas witness")
+            eps, strict = 1, False
+        elif op == "<=":
+            eps, strict = (1, False) if lit > 0 else (-1, True)
+            if mu < 0:
+                raise WitnessError(step, f"negative coefficient {mu} on literal {lit}")
+        elif op == "<":
+            eps, strict = (1, True) if lit > 0 else (-1, False)
+            if mu < 0:
+                raise WitnessError(step, f"negative coefficient {mu} on literal {lit}")
+        else:
+            raise WitnessError(step, f"unknown atom operator {op!r}")
+        if mu == 0:
+            continue
+        scale = mu * eps
+        for name, c in coeffs:
+            value = combo.get(name, _ZERO) + scale * Fraction(c)
+            if value == 0:
+                combo.pop(name, None)
+            else:
+                combo[name] = value
+        const += scale * Fraction(atom_const)
+        if strict:
+            any_strict = True
+    if combo:
+        name = sorted(combo)[0]
+        raise WitnessError(step, f"nonzero variable part ({name}: {combo[name]})")
+    if not (const > 0 or (const == 0 and any_strict)):
+        raise WitnessError(step, f"combination is not contradictory (constant {const})")
+
+
 def reference_validate(cert):
     clauses = []
     counts = {"inputs": 0, "lemmas": 0, "rup_steps": 0}
@@ -66,7 +118,7 @@ def reference_validate(cert):
         elif kind == "lemma":
             if len(event) != 3:
                 raise WitnessError(f"lemma[{index}]", "malformed lemma event")
-            _check_farkas(cert.atoms, event[1], event[2], f"lemma[{index}]")
+            reference_check_farkas(cert.atoms, event[1], event[2], f"lemma[{index}]")
             counts["lemmas"] += 1
         elif kind == "learn":
             reference_rup_check(clauses, event[1], f"rup[{index}]")
@@ -83,7 +135,7 @@ def verdict(check, cert):
     try:
         return ("accepted", check(cert))
     except WitnessError as err:
-        return ("rejected", err.step)
+        return ("rejected", err.step, err.detail)
 
 
 def _certificates(spec, config):
@@ -93,9 +145,9 @@ def _certificates(spec, config):
 
 
 @pytest.fixture(scope="module")
-def certificates():
-    """Every certificate of the registry: all programs in the unroll
-    regime, the correct ones in the invariant regime."""
+def emitted():
+    """Every certificate of the registry, as emitted: all programs in the
+    unroll regime, the correct ones in the invariant regime."""
     certs = []
     for spec in all_specs():
         config = dataclasses.replace(spec_config(spec), witness=True)
@@ -105,6 +157,13 @@ def certificates():
                 spec, dataclasses.replace(config, mode="invariant", bindings={})
             )
     return certs
+
+
+@pytest.fixture(scope="module")
+def certificates(emitted):
+    """The registry's certificates decoded from their canonical JSON, as
+    a warm store hit hands them to the kernel."""
+    return [Certificate.from_json(cert.to_json()) for cert in emitted]
 
 
 def _delete_event(rng, cert):
@@ -142,6 +201,8 @@ def _perturb_clause(rng, cert):
 
 
 def _perturb_farkas(rng, cert):
+    """Add an integral or fractional amount, of either sign, to one Farkas
+    coefficient."""
     events = list(cert.events)
     lemmas = [i for i, event in enumerate(events) if event[0] == "lemma" and event[2]]
     if not lemmas:
@@ -150,7 +211,10 @@ def _perturb_farkas(rng, cert):
     kind, clause, entries = events[index]
     entries = list(entries)
     k = rng.randrange(len(entries))
-    entries[k] = (entries[k][0], entries[k][1] + Fraction(rng.randint(1, 5), 3))
+    delta = rng.choice(
+        (rng.randint(1, 3), -rng.randint(1, 3), Fraction(rng.randint(1, 5), 3))
+    )
+    entries[k] = (entries[k][0], entries[k][1] + delta)
     events[index] = (kind, clause, tuple(entries))
     return dataclasses.replace(cert, events=tuple(events))
 
@@ -164,6 +228,13 @@ def _drop_assumption(rng, cert):
 
 
 MUTATORS = (_delete_event, _delete_derived, _perturb_clause, _perturb_farkas, _drop_assumption)
+
+
+def test_registry_certificates_round_trip(emitted, certificates):
+    for cert, decoded in zip(emitted, certificates):
+        text = cert.to_json()
+        assert decoded.to_json() == text
+        assert decoded == cert
 
 
 def test_registry_certificates_agree(certificates):
