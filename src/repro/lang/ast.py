@@ -5,6 +5,17 @@ structure, which lets the type checker use syntactic equality of distance
 expressions when joining typing environments, and lets tests compare
 transformed programs against golden ASTs directly.
 
+Every node hashes once.  Its hash is the structural one that
+``dataclass`` generates (the hash of the tuple of its field values), but
+it is computed the first time the node is hashed and then kept in the
+node's ``_hash`` slot, so hashing a node costs one tuple hash over its
+children's cached hashes, not a walk of its whole subtree.  The
+simplifier's memo, ``normalize_query`` and the encoding memo hash the
+same nodes many times over.  There is no intern table: equal nodes built
+separately stay separate objects and compare by structure.  A string's
+hash depends on the process's hash seed, so the cached value is never
+pickled; unpickling rebuilds a node from its fields (see :func:`_node`).
+
 Naming conventions used throughout the code base:
 
 * ``aligned`` corresponds to the paper's ``°`` (circle) version — the
@@ -18,7 +29,7 @@ Naming conventions used throughout the code base:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Tuple, Union
 
@@ -31,11 +42,67 @@ SHADOW = "s"
 VERSIONS = (ALIGNED, SHADOW)
 
 # ---------------------------------------------------------------------------
+# Nodes
+# ---------------------------------------------------------------------------
+
+
+class Node:
+    """Base class of every AST node; holds the node's cached hash."""
+
+    __slots__ = ("_hash",)
+
+
+_set_hash = Node._hash.__set__
+
+
+def _node(cls):
+    """Make ``cls`` a frozen, slotted dataclass that hashes once.
+
+    The class keeps the ``__eq__`` and ``__repr__`` that ``dataclass``
+    generates.  Its ``__hash__`` returns the ``dataclass`` one, computed
+    on the first call and stored in the ``_hash`` slot, which
+    ``__post_init__`` clears.  ``__reduce__`` pickles a node as its
+    constructor call on its fields, so unpickling rebuilds the node and
+    hashes it afresh under the receiving process's hash seed.
+    """
+    own_post_init = cls.__dict__.get("__post_init__")
+    if own_post_init is None:
+
+        def __post_init__(self) -> None:
+            _set_hash(self, None)
+
+    else:
+
+        def __post_init__(self) -> None:
+            _set_hash(self, None)
+            own_post_init(self)
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True, slots=True)(cls)
+    structural = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = structural(self)
+            _set_hash(self, value)
+        return value
+
+    def __reduce__(self):
+        return cls, tuple([getattr(self, name) for name in names])
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(Node):
     """Base class for all expression nodes."""
 
     __slots__ = ()
@@ -45,7 +112,7 @@ class Expr:
         return ()
 
 
-@dataclass(frozen=True)
+@_node
 class Real(Expr):
     """A rational literal.  All arithmetic in the pipeline is exact."""
 
@@ -59,14 +126,14 @@ class Real(Expr):
         return f"Real({self.value})"
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(Expr):
     """A boolean literal ``true`` or ``false``."""
 
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     """A normal or random program variable.
 
@@ -77,7 +144,7 @@ class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Hat(Expr):
     """A distance-tracking variable ``x̂°`` (version ``ALIGNED``) or ``x̂†``.
 
@@ -99,7 +166,7 @@ def hat_name(base: str, version: str) -> str:
     return f"{base}^{version}"
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     """Arithmetic negation ``-e``."""
 
@@ -109,7 +176,7 @@ class Neg(Expr):
         return (self.operand,)
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Expr):
     """Boolean negation ``!e``."""
 
@@ -119,7 +186,7 @@ class Not(Expr):
         return (self.operand,)
 
 
-@dataclass(frozen=True)
+@_node
 class Abs(Expr):
     """Absolute value ``abs(e)``.
 
@@ -142,7 +209,7 @@ BOOL_OPS = ("&&", "||")
 ALL_BINOPS = LINEAR_OPS + OTHER_OPS + COMPARATORS + BOOL_OPS
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Expr):
     """A binary operation.  ``op`` is one of ``ALL_BINOPS``."""
 
@@ -158,7 +225,7 @@ class BinOp(Expr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@_node
 class Ternary(Expr):
     """The numeric/boolean choice ``cond ? then : orelse``."""
 
@@ -170,7 +237,7 @@ class Ternary(Expr):
         return (self.cond, self.then, self.orelse)
 
 
-@dataclass(frozen=True)
+@_node
 class Cons(Expr):
     """List extension ``head :: tail`` (paper ``e1 :: e2``)."""
 
@@ -181,7 +248,7 @@ class Cons(Expr):
         return (self.head, self.tail)
 
 
-@dataclass(frozen=True)
+@_node
 class Index(Expr):
     """List indexing ``base[index]``."""
 
@@ -192,7 +259,7 @@ class Index(Expr):
         return (self.base, self.index)
 
 
-@dataclass(frozen=True)
+@_node
 class ForAll(Expr):
     """A universally quantified formula ``forall x :: body``.
 
@@ -251,13 +318,13 @@ def is_star(d: Distance) -> bool:
     return isinstance(d, Star)
 
 
-class Type:
+class Type(Node):
     """Base class for ShadowDP types."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class NumType(Type):
     """``num<d_aligned, d_shadow>`` — a real with two distances."""
 
@@ -265,12 +332,12 @@ class NumType(Type):
     shadow: Distance = ZERO
 
 
-@dataclass(frozen=True)
+@_node
 class BoolType(Type):
     """``bool`` — always at distance ``<0,0>``."""
 
 
-@dataclass(frozen=True)
+@_node
 class ListType(Type):
     """``list t`` — a list whose elements all have type ``t``."""
 
@@ -282,7 +349,7 @@ class ListType(Type):
 # ---------------------------------------------------------------------------
 
 
-class Selector:
+class Selector(Node):
     """Base class for sampling-annotation selectors."""
 
     __slots__ = ()
@@ -292,7 +359,7 @@ class Selector:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@_node
 class SelectLeaf(Selector):
     """A constant selector: the aligned (``°``) or shadow (``†``) version."""
 
@@ -306,7 +373,7 @@ class SelectLeaf(Selector):
         return aligned if self.version == ALIGNED else shadow
 
 
-@dataclass(frozen=True)
+@_node
 class SelectCond(Selector):
     """A conditional selector ``e ? S1 : S2``."""
 
@@ -345,18 +412,18 @@ def selector_uses_shadow(sel: Selector) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Command:
+class Command(Node):
     """Base class for all command nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Skip(Command):
     """The no-op command."""
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Command):
     """Assignment ``x := e`` to a normal variable."""
 
@@ -364,7 +431,7 @@ class Assign(Command):
     expr: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sample(Command):
     """The sampling command ``eta := Lap(scale), selector, align``.
 
@@ -378,7 +445,7 @@ class Sample(Command):
     align: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Command):
     """Sequential composition of zero or more commands."""
 
@@ -397,7 +464,7 @@ class Seq(Command):
         object.__setattr__(self, "commands", tuple(flat))
 
 
-@dataclass(frozen=True)
+@_node
 class If(Command):
     """Branching ``if (e) { c1 } else { c2 }``."""
 
@@ -406,7 +473,7 @@ class If(Command):
     orelse: Command = field(default_factory=Skip)
 
 
-@dataclass(frozen=True)
+@_node
 class While(Command):
     """Looping ``while (e) { c }``.
 
@@ -420,7 +487,7 @@ class While(Command):
     invariants: Tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Return(Command):
     """``return e`` — by convention the last command of a function."""
 
@@ -430,21 +497,21 @@ class Return(Command):
 # Target-language extensions (paper Section 4.4 / Appendix E).
 
 
-@dataclass(frozen=True)
+@_node
 class Havoc(Command):
     """``havoc x`` — set ``x`` to an arbitrary real (target language only)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Assert(Command):
     """``assert(e)`` — proof obligation inserted by the type system."""
 
     expr: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Assume(Command):
     """``assume(e)`` — verifier-facing assumption (target language only)."""
 
@@ -456,16 +523,16 @@ class Assume(Command):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Parameter:
+@_node
+class Parameter(Node):
     """A typed function parameter."""
 
     name: str
     type: Type
 
 
-@dataclass(frozen=True)
-class FunctionDef:
+@_node
+class FunctionDef(Node):
     """A complete ShadowDP function.
 
     Attributes

@@ -8,6 +8,15 @@ special cases for strictness.  When a model is extracted, a concrete
 positive rational value for ``δ`` small enough to satisfy every strict
 constraint is computed (see :func:`concretize`).
 
+Values are **int-first**: both components of a :class:`DeltaRat` are an
+``int`` when integral and a ``Fraction`` (denominator above 1) only
+otherwise.  Most values the simplex meets are integers, and ``int``
+arithmetic is an order of magnitude cheaper than ``Fraction``'s.  A sum,
+difference or product with a ``Fraction`` operand can come out integral,
+so the operators normalize their results (:func:`int_first`, inlined).
+No ``/`` is ever taken between two ints, which would give a float:
+quotients go through :func:`divide`.
+
 The class is deliberately bare-metal — ``__slots__``, constructor-bypass
 allocation in the arithmetic operators, field-by-field comparisons — as
 delta-rational sums and scalings sit on the simplex pivot/update path,
@@ -21,30 +30,48 @@ from typing import Iterable, Mapping, Tuple, Union
 
 Number = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+
+def int_first(value: Number) -> Number:
+    """``value`` in int-first form: an ``int`` when it is integral, a
+    ``Fraction`` otherwise (any other rational type is converted)."""
+    if value.__class__ is int:
+        return value
+    if value.__class__ is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def divide(numerator: Number, denominator: Number) -> Number:
+    """The exact, int-first quotient (never a float)."""
+    if numerator.__class__ is int and denominator.__class__ is int:
+        quotient, remainder = divmod(numerator, denominator)
+        return quotient if remainder == 0 else Fraction(numerator, denominator)
+    return int_first(numerator / denominator)
 
 
 class DeltaRat:
-    """The value ``real + delta * infinitesimal``."""
+    """The value ``real + delta * infinitesimal``, both parts int-first."""
 
     __slots__ = ("real", "delta")
 
-    def __init__(self, real: Number, delta: Number = _ZERO) -> None:
-        if not isinstance(real, Fraction):
-            real = Fraction(real)
-        if not isinstance(delta, Fraction):
-            delta = Fraction(delta)
-        self.real = real
-        self.delta = delta
+    def __init__(self, real: Number, delta: Number = 0) -> None:
+        self.real = int_first(real)
+        self.delta = int_first(delta)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: Union["DeltaRat", Number]) -> "DeltaRat":
-        if not isinstance(other, DeltaRat):
+        if other.__class__ is not DeltaRat:
             other = _coerce(other)
         result = object.__new__(DeltaRat)
-        result.real = self.real + other.real
-        result.delta = self.delta + other.delta
+        real = self.real + other.real
+        if real.__class__ is Fraction and real.denominator == 1:
+            real = real.numerator
+        delta = self.delta + other.delta
+        if delta.__class__ is Fraction and delta.denominator == 1:
+            delta = delta.numerator
+        result.real = real
+        result.delta = delta
         return result
 
     __radd__ = __add__
@@ -56,22 +83,33 @@ class DeltaRat:
         return result
 
     def __sub__(self, other: Union["DeltaRat", Number]) -> "DeltaRat":
-        if not isinstance(other, DeltaRat):
+        if other.__class__ is not DeltaRat:
             other = _coerce(other)
         result = object.__new__(DeltaRat)
-        result.real = self.real - other.real
-        result.delta = self.delta - other.delta
+        real = self.real - other.real
+        if real.__class__ is Fraction and real.denominator == 1:
+            real = real.numerator
+        delta = self.delta - other.delta
+        if delta.__class__ is Fraction and delta.denominator == 1:
+            delta = delta.numerator
+        result.real = real
+        result.delta = delta
         return result
 
     def __rsub__(self, other: Number) -> "DeltaRat":
         return _coerce(other) + (-self)
 
     def scale(self, factor: Number) -> "DeltaRat":
-        if not isinstance(factor, Fraction):
-            factor = Fraction(factor)
+        """``self · factor`` for an ``int`` or ``Fraction`` factor."""
         result = object.__new__(DeltaRat)
-        result.real = self.real * factor
-        result.delta = self.delta * factor
+        real = self.real * factor
+        if real.__class__ is Fraction and real.denominator == 1:
+            real = real.numerator
+        delta = self.delta * factor
+        if delta.__class__ is Fraction and delta.denominator == 1:
+            delta = delta.numerator
+        result.real = real
+        result.delta = delta
         return result
 
     def __mul__(self, factor: Number) -> "DeltaRat":
@@ -80,7 +118,10 @@ class DeltaRat:
     __rmul__ = __mul__
 
     def __truediv__(self, divisor: Number) -> "DeltaRat":
-        return self.scale(Fraction(1) / Fraction(divisor))
+        result = object.__new__(DeltaRat)
+        result.real = divide(self.real, divisor)
+        result.delta = divide(self.delta, divisor)
+        return result
 
     # -- ordering (lexicographic: δ is positive but smaller than any
     #    positive rational) -------------------------------------------------
@@ -93,31 +134,34 @@ class DeltaRat:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A standard value hashes like the number it equals.
+        if self.delta == 0:
+            return hash(self.real)
         return hash((self.real, self.delta))
 
     def __lt__(self, other: Union["DeltaRat", Number]) -> bool:
-        if not isinstance(other, DeltaRat):
+        if other.__class__ is not DeltaRat:
             other = _coerce(other)
         if self.real != other.real:
             return self.real < other.real
         return self.delta < other.delta
 
     def __le__(self, other: Union["DeltaRat", Number]) -> bool:
-        if not isinstance(other, DeltaRat):
+        if other.__class__ is not DeltaRat:
             other = _coerce(other)
         if self.real != other.real:
             return self.real < other.real
         return self.delta <= other.delta
 
     def __gt__(self, other: Union["DeltaRat", Number]) -> bool:
-        if not isinstance(other, DeltaRat):
+        if other.__class__ is not DeltaRat:
             other = _coerce(other)
         if self.real != other.real:
             return self.real > other.real
         return self.delta > other.delta
 
     def __ge__(self, other: Union["DeltaRat", Number]) -> bool:
-        if not isinstance(other, DeltaRat):
+        if other.__class__ is not DeltaRat:
             other = _coerce(other)
         if self.real != other.real:
             return self.real > other.real
@@ -132,17 +176,18 @@ class DeltaRat:
     # -- conversion ---------------------------------------------------------
 
     def at(self, delta_value: Fraction) -> Fraction:
-        """The concrete rational once ``δ`` is fixed."""
+        """The concrete rational once ``δ`` is fixed; a ``Fraction`` like
+        ``delta_value``, even when integral."""
         return self.real + self.delta * delta_value
 
 
 def _coerce(value: Union[DeltaRat, Number]) -> DeltaRat:
     if isinstance(value, DeltaRat):
         return value
-    return DeltaRat(Fraction(value))
+    return DeltaRat(value)
 
 
-ZERO_D = DeltaRat(Fraction(0))
+ZERO_D = DeltaRat(0)
 
 
 def concretize(values: Mapping[str, DeltaRat], strict_gaps: Iterable[Tuple[DeltaRat, DeltaRat]]) -> Tuple[Fraction, dict]:
@@ -161,7 +206,7 @@ def concretize(values: Mapping[str, DeltaRat], strict_gaps: Iterable[Tuple[Delta
         if lo >= hi:
             raise ValueError(f"strict gap is not ordered: {lo} >= {hi}")
         if lo.real < hi.real and lo.delta > hi.delta:
-            limit = (hi.real - lo.real) / (lo.delta - hi.delta)
+            limit = Fraction(hi.real - lo.real, lo.delta - hi.delta)
             # Stay strictly inside the open interval.
             delta = min(delta, limit / 2)
     if delta <= 0:

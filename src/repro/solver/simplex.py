@@ -9,6 +9,19 @@ conjunction is unsatisfiable.
 Strict inequalities are represented with delta-rationals
 (:mod:`repro.solver.delta`), so ``x < c`` is the bound ``x <= c - δ``.
 
+All arithmetic is exact and **int-first**: every tableau coefficient,
+assignment component, bound value and Farkas coefficient is an ``int``
+when integral and a ``Fraction`` (denominator above 1) only otherwise.
+On the verifier's queries most of them are integers, so most pivots and
+updates run in ``int`` arithmetic.  A sum or product with a ``Fraction``
+operand is normalized back to an ``int`` when it comes out integral, and
+no ``/`` is ever taken between two ints (that would give a float):
+reciprocals and quotients go through :func:`repro.solver.delta.divide`.
+Numerically every value equals the all-``Fraction`` computation's, so
+pivots, conflicts and models are the same (``tests/solver/test_int_first.py``
+keeps that computation as a reference).  :meth:`Simplex.concrete_model`
+returns ``Fraction`` values.
+
 The implementation is tuned for the DPLL(T) inner loop:
 
 * Variables are **integer ids** internally (the public API still speaks
@@ -39,11 +52,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.solver.delta import DeltaRat
+from repro.solver.delta import ZERO_D, DeltaRat, Number, divide, int_first
 from repro.solver.linear import LinExpr
 from repro.solver.profile import SolverProfile
 
-_ONE = Fraction(1)
+_ONE_D = DeltaRat(1)
 
 
 @dataclass(frozen=True)
@@ -66,15 +79,15 @@ class Infeasible(Exception):
     ``farkas`` is the conflict's certificate: ``(bound, coefficient)``
     pairs such that the nonnegative rational combination of the bound
     inequalities (each ``var <= value`` or ``var >= value``) cancels
-    every variable and leaves a contradictory constant.  The witness
-    subsystem turns it into an independently checkable Farkas lemma;
-    the conflict-set semantics are unchanged.
+    every variable and leaves a contradictory constant.  The coefficients
+    are int-first.  The witness subsystem turns it into an independently
+    checkable Farkas lemma; the conflict-set semantics are unchanged.
     """
 
     def __init__(
         self,
         conflict: Set[object],
-        farkas: Tuple[Tuple[Bound, Fraction], ...] = (),
+        farkas: Tuple[Tuple[Bound, Number], ...] = (),
     ) -> None:
         super().__init__(f"infeasible: {conflict}")
         self.conflict = conflict
@@ -101,7 +114,7 @@ class Simplex:
         self._ids: Dict[str, int] = {}
         self._is_basic: List[bool] = []
         # row[basic] maps nonbasic -> coefficient:  basic = Σ coeff · nonbasic
-        self._rows: Dict[int, Dict[int, Fraction]] = {}
+        self._rows: Dict[int, Dict[int, Number]] = {}
         # column occurrence index: var id -> basic ids whose row mentions it
         self._cols: List[Set[int]] = []
         self._assignment: List[DeltaRat] = []
@@ -126,7 +139,7 @@ class Simplex:
         self._ids[name] = vid
         self._is_basic.append(False)
         self._cols.append(set())
-        self._assignment.append(DeltaRat(Fraction(0)))
+        self._assignment.append(ZERO_D)
         self._lower.append(None)
         self._upper.append(None)
         return vid
@@ -141,29 +154,29 @@ class Simplex:
         """
         if name in self._ids:
             raise ValueError(f"variable {name} already defined")
-        row: Dict[int, Fraction] = {}
+        row: Dict[int, Number] = {}
 
-        def accumulate(vid: int, coeff: Fraction) -> None:
+        def accumulate(vid: int, coeff: Number) -> None:
             if coeff == 0:
                 return
             if self._is_basic[vid]:
                 for inner, inner_coeff in self._rows[vid].items():
-                    accumulate(inner, coeff * inner_coeff)
+                    accumulate(inner, int_first(coeff * inner_coeff))
             else:
                 value = row.get(vid)
                 if value is None:
                     row[vid] = coeff
                 else:
-                    value = value + coeff
+                    value = int_first(value + coeff)
                     if value == 0:
                         del row[vid]
                     else:
                         row[vid] = value
 
         for var, coeff in expr.iter_terms():
-            accumulate(self.add_variable(var), coeff)
+            accumulate(self.add_variable(var), int_first(coeff))
         if expr.const != 0:
-            accumulate(self._constant_one(), expr.const)
+            accumulate(self._constant_one(), int_first(expr.const))
 
         vid = self.add_variable(name)
         self._is_basic[vid] = True
@@ -176,14 +189,13 @@ class Simplex:
         if self._one_id is None:
             vid = self.add_variable("%one")
             self._one_id = vid
-            one = DeltaRat(Fraction(1))
-            self._lower[vid] = Bound("%one", False, one, "%one")
-            self._upper[vid] = Bound("%one", True, one, "%one")
-            self._update(vid, one)
+            self._lower[vid] = Bound("%one", False, _ONE_D, "%one")
+            self._upper[vid] = Bound("%one", True, _ONE_D, "%one")
+            self._update(vid, _ONE_D)
         return self._one_id
 
     def _row_value(self, basic: int) -> DeltaRat:
-        total = DeltaRat(Fraction(0))
+        total = ZERO_D
         assignment = self._assignment
         for var, coeff in self._rows[basic].items():
             total = total + assignment[var].scale(coeff)
@@ -199,9 +211,8 @@ class Simplex:
         self._trail.clear()
         self._trail_limits.clear()
         if self._one_id is not None:
-            one = DeltaRat(Fraction(1))
-            self._lower[self._one_id] = Bound("%one", False, one, "%one")
-            self._upper[self._one_id] = Bound("%one", True, one, "%one")
+            self._lower[self._one_id] = Bound("%one", False, _ONE_D, "%one")
+            self._upper[self._one_id] = Bound("%one", True, _ONE_D, "%one")
 
     def push_state(self) -> None:
         """Mark the current bound state; :meth:`pop_state` restores it."""
@@ -233,7 +244,7 @@ class Simplex:
         lower = self._lower[vid]
         if lower is not None and value < lower.value:
             new = Bound(var, True, value, tag)
-            raise Infeasible({tag, lower.tag}, farkas=((new, _ONE), (lower, _ONE)))
+            raise Infeasible({tag, lower.tag}, farkas=((new, 1), (lower, 1)))
         upper = self._upper[vid]
         if upper is not None and upper.value <= value:
             return False
@@ -252,7 +263,7 @@ class Simplex:
         upper = self._upper[vid]
         if upper is not None and upper.value < value:
             new = Bound(var, False, value, tag)
-            raise Infeasible({tag, upper.tag}, farkas=((new, _ONE), (upper, _ONE)))
+            raise Infeasible({tag, upper.tag}, farkas=((new, 1), (upper, 1)))
         lower = self._lower[vid]
         if lower is not None and lower.value >= value:
             return False
@@ -284,10 +295,13 @@ class Simplex:
             cols[col].discard(basic)
         coeff = row.pop(nonbasic)
         # basic = coeff * nonbasic + rest  =>  nonbasic = (basic - rest)/coeff
-        inverse = _ONE / coeff
-        new_row: Dict[int, Fraction] = {basic: inverse}
+        inverse = divide(1, coeff)
+        new_row: Dict[int, Number] = {basic: inverse}
         for var, c in row.items():
-            new_row[var] = -c * inverse
+            value = -c * inverse
+            if value.__class__ is Fraction and value.denominator == 1:
+                value = value.numerator
+            new_row[var] = value
         self._is_basic[basic] = False
         self._is_basic[nonbasic] = True
         rows[nonbasic] = new_row
@@ -299,16 +313,17 @@ class Simplex:
             factor = other_row.pop(nonbasic)
             for var, c in new_row.items():
                 old = other_row.get(var)
+                value = factor * c if old is None else old + factor * c
+                if value.__class__ is Fraction and value.denominator == 1:
+                    value = value.numerator
                 if old is None:
-                    other_row[var] = factor * c
+                    other_row[var] = value
                     cols[var].add(other)
+                elif value == 0:
+                    del other_row[var]
+                    cols[var].discard(other)
                 else:
-                    value = old + factor * c
-                    if value == 0:
-                        del other_row[var]
-                        cols[var].discard(other)
-                    else:
-                        other_row[var] = value
+                    other_row[var] = value
         for col in new_row:
             cols[col].add(nonbasic)
 
@@ -317,7 +332,7 @@ class Simplex:
         assignment = self._assignment
         rows = self._rows
         coeff = rows[basic][nonbasic]
-        theta = (value - assignment[basic]).scale(_ONE / coeff)
+        theta = (value - assignment[basic]) / coeff
         assignment[basic] = value
         assignment[nonbasic] = assignment[nonbasic] + theta
         column = self._cols[nonbasic]
@@ -381,7 +396,7 @@ class Simplex:
             row = self._rows[violating]
             heuristic = pivots < budget
             candidate = -1
-            best_coeff: Optional[Fraction] = None
+            best_coeff: Optional[Number] = None
             for var in row:
                 coeff = row[var]
                 if below:
@@ -430,10 +445,10 @@ class Simplex:
         """
         self.profile.theory_conflicts += 1
         conflict: Set[object] = set()
-        farkas: List[Tuple[Bound, Fraction]] = []
+        farkas: List[Tuple[Bound, Number]] = []
         own = self._lower[basic] if below else self._upper[basic]
         conflict.add(own.tag)
-        farkas.append((own, _ONE))
+        farkas.append((own, 1))
         for var, coeff in self._rows[basic].items():
             if (coeff > 0) == below:
                 bound = self._upper[var]
@@ -454,7 +469,7 @@ class Simplex:
             for vid, name in enumerate(self._names)
         }
 
-    def tableau(self) -> Dict[str, Dict[str, Fraction]]:
+    def tableau(self) -> Dict[str, Dict[str, Number]]:
         """The current rows as ``basic name -> {nonbasic name: coeff}``."""
         return {
             self._names[basic]: {self._names[col]: c for col, c in row.items()}
@@ -471,7 +486,8 @@ class Simplex:
         """A concrete rational model: substitute a small positive δ.
 
         δ must be small enough that every asserted bound still holds; the
-        standard per-bound limits are accumulated here.
+        standard per-bound limits are accumulated here.  δ is a
+        ``Fraction``, so every model value is one too.
         """
         delta = Fraction(1)
         for vid in range(len(self._names)):
@@ -481,13 +497,13 @@ class Simplex:
                 gap_real = value.real - lower.value.real
                 gap_delta = lower.value.delta - value.delta
                 if gap_delta > 0 and gap_real > 0:
-                    delta = min(delta, gap_real / gap_delta / 2)
+                    delta = min(delta, Fraction(gap_real, 2 * gap_delta))
             upper = self._upper[vid]
             if upper is not None:
                 gap_real = upper.value.real - value.real
                 gap_delta = value.delta - upper.value.delta
                 if gap_delta > 0 and gap_real > 0:
-                    delta = min(delta, gap_real / gap_delta / 2)
+                    delta = min(delta, Fraction(gap_real, 2 * gap_delta))
         return {
             name: self._assignment[vid].at(delta)
             for vid, name in enumerate(self._names)

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.solver import formula as F
 from repro.solver.cnf import TseitinEncoder
-from repro.solver.delta import DeltaRat
+from repro.solver.delta import DeltaRat, Number, divide
 from repro.solver.linear import LinExpr
 from repro.solver.profile import SolverProfile
 from repro.solver.sat import CDCLSolver
@@ -284,7 +284,7 @@ class SMTSolver:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _farkas_entries(self, farkas) -> Tuple[Tuple[int, Fraction], ...]:
+    def _farkas_entries(self, farkas) -> Tuple[Tuple[int, Number], ...]:
         """Convert a simplex conflict's bound-level Farkas coefficients to
         atom-level ``(literal, coefficient)`` pairs.
 
@@ -300,20 +300,21 @@ class SMTSolver:
         coefficient.  ``%one`` bounds never reach a conflict (slack rows
         are constant-free) and are skipped defensively — the validator
         rejects, never accepts, if that assumption were ever violated.
+        Coefficients are int-first, like the simplex's.
         """
         atoms = self._encoder.cnf.atom_of_var
-        entries: List[Tuple[int, Fraction]] = []
+        entries: List[Tuple[int, Number]] = []
         for bound, coeff in farkas:
             tag = bound.tag
             if not isinstance(tag, int):
                 continue
             sign, factor = self._atom_meta[abs(tag)]
             if atoms[abs(tag)].op == "=":
-                mu = coeff * sign / factor
+                mu = divide(coeff * sign, factor)
                 if not bound.is_upper:
                     mu = -mu
             else:
-                mu = coeff / factor
+                mu = divide(coeff, factor)
             entries.append((tag, mu))
         return tuple(entries)
 
@@ -399,14 +400,14 @@ class SMTSolver:
             plan = (target, weak, weak, None, None)
         elif atom.op == "<=":
             if sign > 0:  # true: target <= limit; false: target > limit
-                plan = (target, weak, None, None, DeltaRat(limit, Fraction(1)))
+                plan = (target, weak, None, None, DeltaRat(limit, 1))
             else:  # true: target >= limit; false: target < limit
-                plan = (target, None, weak, DeltaRat(limit, Fraction(-1)), None)
+                plan = (target, None, weak, DeltaRat(limit, -1), None)
         else:  # "<"
             if sign > 0:  # true: target < limit; false: target >= limit
-                plan = (target, DeltaRat(limit, Fraction(-1)), None, None, weak)
+                plan = (target, DeltaRat(limit, -1), None, None, weak)
             else:  # true: target > limit; false: target <= limit
-                plan = (target, None, DeltaRat(limit, Fraction(1)), weak, None)
+                plan = (target, None, DeltaRat(limit, 1), weak, None)
         self._atom_plan[var] = plan
         return plan
 

@@ -105,13 +105,13 @@ DEADLINE_ENV_VAR = "REPRO_UNIT_DEADLINE"
 class DischargeCancelled(Exception):
     """A discharge run was cancelled cooperatively before completing.
 
-    Raised at unit/chunk boundaries when the engine's ``cancel_event``
-    is set (per-request timeouts and server drain in ``repro serve``),
-    and used by backends to unwind cleanly: pushed solver scopes are
-    popped (``SolverContext.check_entailment`` pops in a ``finally``),
-    in-flight single-flight cache acquisitions are released
-    (``QueryCache.cancel``), and queued-but-unstarted work is dropped —
-    no waiter deadlocks, no leaked scopes.
+    Raised at unit/chunk boundaries, or when discharge ends, if the
+    engine's ``cancel_event`` is set (per-request timeouts and server
+    drain in ``repro serve``), and used by backends to unwind cleanly:
+    pushed solver scopes are popped (``SolverContext.check_entailment``
+    pops in a ``finally``), in-flight single-flight cache acquisitions
+    are released (``QueryCache.cancel``), and queued-but-unstarted work
+    is dropped — no waiter deadlocks, no leaked scopes.
     """
 
 
@@ -457,8 +457,9 @@ class DischargeEngine:
                         emit: EventSink = None) -> None:
         """Raise :class:`DischargeCancelled` if the cancel event is set.
 
-        Called at every unit, member and chunk boundary, so a cancelled
-        run stops within one solve of the request.  The first check to
+        Called at every unit, member and chunk boundary, and once more
+        when discharge ends, so a cancelled run stops within one solve
+        of the request and never reports success.  The first check to
         observe the cancellation emits a single ``early-exit`` event;
         every check marks the engine as early-exited so the outcome
         reports an honest partial verdict.

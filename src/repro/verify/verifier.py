@@ -363,6 +363,10 @@ class ObligationChecker(DischargeEngine):
             batch=batch,
             fail_fast=fail_fast,
         )
+        # The end of discharge is a cancellation boundary too: a cancel
+        # that arrived during the last unit's solve must not let the run
+        # report success, nor write its verdicts back.
+        self.check_cancelled(emit=emit)
         self.units_run += len(accounts)
         self.merge_accounts(accounts)
         if store is not None:

@@ -65,26 +65,46 @@ def check_query(solver, live):
     return result
 
 
-def test_random_queries_agree():
+def fuzz_scripts():
+    """The seeded corpus: 150 scripts of ``("push",)``, ``("pop",)``,
+    ``("add", formula)`` and ``("check",)`` operations, each run on one
+    fresh solver, at most four scopes deep."""
     rng = random.Random(20261017)
-    answers = {"sat": 0, "unsat": 0}
     for _ in range(150):
+        ops = []
+        depth = 1
+        for _ in range(12):
+            roll = rng.random()
+            if roll < 0.2 and depth < 4:
+                ops.append(("push",))
+                depth += 1
+            elif roll < 0.35 and depth > 1:
+                ops.append(("pop",))
+                depth -= 1
+            else:
+                ops.append(("add", random_formula(rng, 2)))
+            if rng.random() < 0.6:
+                ops.append(("check",))
+        yield ops
+
+
+def test_random_queries_agree():
+    answers = {"sat": 0, "unsat": 0}
+    for ops in fuzz_scripts():
         solver = SMTSolver()
         solver.enable_proof()
         scopes = [[]]
-        for _ in range(12):
-            roll = rng.random()
-            if roll < 0.2 and len(scopes) < 4:
+        for op in ops:
+            if op[0] == "push":
                 solver.push()
                 scopes.append([])
-            elif roll < 0.35 and len(scopes) > 1:
+            elif op[0] == "pop":
                 solver.pop()
                 scopes.pop()
+            elif op[0] == "add":
+                solver.add(op[1])
+                scopes[-1].append(op[1])
             else:
-                node = random_formula(rng, 2)
-                solver.add(node)
-                scopes[-1].append(node)
-            if rng.random() < 0.6:
                 live = [node for scope in scopes for node in scope]
                 answers[check_query(solver, live).status] += 1
     # The corpus reaches both answers often.

@@ -22,6 +22,7 @@ from repro.verify.discharge import (
     DischargeWorkerError,
     EarlyExit,
     ObligationDischarged,
+    UnitFinished,
 )
 from repro.verify.verifier import iter_obligations, verify_target
 
@@ -48,6 +49,32 @@ class TestCancelEvent:
         stats = cache.stats()
         assert stats["pending"] == 0
         assert stats["misses"] == 0  # nothing was even looked up
+
+    def test_cancel_during_the_last_unit_is_not_a_success(self):
+        """A cancel that arrives while the last unit solves, after its
+        last member boundary, is seen when discharge ends: the run raises
+        instead of returning a verdict its timeout already gave up on."""
+        target, config = _svt()
+        plan = DischargePlan.from_obligations(iter_obligations(target, config))
+        last = plan.units[-1].uid
+        cancel = threading.Event()
+        events = []
+
+        def sink(event):
+            events.append(event)
+            if isinstance(event, ObligationDischarged) and event.unit == last:
+                cancel.set()
+
+        with pytest.raises(DischargeCancelled):
+            verify_target(
+                target, _config(config, cancel_event=cancel, backend="serial"),
+                cache=QueryCache(), on_event=sink,
+            )
+        exits = [e for e in events if isinstance(e, EarlyExit)]
+        assert len(exits) == 1
+        assert exits[0].reason == "cancelled"
+        # Every unit ran: only the end-of-discharge check could see it.
+        assert [e.unit for e in events if isinstance(e, UnitFinished)][-1] == last
 
     def test_cancel_mid_sweep_releases_single_flight(self):
         """The satellite regression: cancel a ThreadedBackend run midway.
