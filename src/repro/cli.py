@@ -46,8 +46,9 @@ active.
     ``path``.
 ``witness ACTION``
     Proof-certificate tooling: ``show FILE`` verifies with witnesses
-    on and prints per-obligation certificate summaries (``--oid`` dumps
-    one certificate's canonical JSON), ``check FILE`` re-validates a
+    on and summarizes each obligation's certificate as it would be
+    stored (``--oid`` dumps that certificate's canonical JSON), so the
+    two describe one object; ``check FILE`` re-validates a
     certificate file with the trusted kernel alone (exit 1 on
     rejection), ``sweep`` re-validates every stored certificate for the
     registry — zero solver calls; ``--populate`` verifies first.
@@ -666,7 +667,8 @@ def cmd_cache(args) -> int:
         )
         print(
             f"  witnesses: {stats['witnesses']} of {breakdown['valid']} "
-            f"valid entries carry a proof certificate"
+            f"valid entries carry a proof certificate "
+            f"({stats['witness_bytes'] / 1024:.1f} KiB)"
         )
         print(
             f"  traffic (this process): {stats['hits']} hits, "
@@ -694,7 +696,8 @@ def cmd_cache(args) -> int:
 
 
 def _witness_show(args) -> int:
-    """Discharge one file with witnesses on; print per-oid summaries."""
+    """Discharge one file with witnesses on; summarize each oid's stored
+    certificate, or print one of them with ``--oid``."""
     from dataclasses import replace
 
     from repro.verify.verifier import prepare_generator, target_cfg
@@ -722,7 +725,7 @@ def _witness_show(args) -> int:
         f"[fingerprint {checker.store_fingerprint[:12]}]"
     )
     for obligation in generator.obligations:
-        certificate = checker.certificates.get(obligation.oid)
+        certificate = checker.stored_certificate(obligation.oid)
         if obligation.oid in refuted:
             status = "refuted (no certificate)"
         elif certificate is None:

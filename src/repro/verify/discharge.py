@@ -416,6 +416,9 @@ class DischargeEngine:
         #: conjoined chunk shares one certificate object across all of
         #: its members (the proof covers the conjunction).
         self.certificates: Dict[str, object] = {}
+        #: id of each distinct certificate object -> (that object, the
+        #: form the store keeps of it); see ``stored_certificate``.
+        self._stored_forms: Dict[int, Tuple[object, object]] = {}
         self.validity = ValidityChecker(cache=self.cache, witness=witness)
         self.stats = ContextStats()
         #: Work units discharged so far (all strategies).

@@ -461,17 +461,24 @@ class ObligationStore:
 
     def witness_count(self) -> int:
         """How many stored verdicts carry a proof certificate."""
+        return self.witness_totals()[0]
+
+    def witness_totals(self) -> Tuple[int, int]:
+        """``(count, length)`` of the stored proof certificates: how many
+        verdicts carry one, and their summed serialized length."""
         with self._lock:
             if self.degraded:
-                return sum(1 for v in self._memory.values() if v.witness is not None)
+                texts = [v.witness for v in self._memory.values() if v.witness is not None]
+                return len(texts), sum(map(len, texts))
             try:
                 conn = self._connect()
-                return conn.execute(
-                    "SELECT COUNT(*) FROM obligations WHERE witness IS NOT NULL"
-                ).fetchone()[0]
+                count, length = conn.execute(
+                    "SELECT COUNT(witness), SUM(LENGTH(witness)) FROM obligations"
+                ).fetchone()
+                return count, length or 0
             except (sqlite3.DatabaseError, OSError):
                 self._reset_connection()
-                return 0
+                return 0, 0
 
     def gc(
         self,
@@ -537,7 +544,7 @@ class ObligationStore:
         out["path"] = self.path
         out["schema_version"] = SCHEMA_VERSION
         out["entries"] = self.entry_count()
-        out["witnesses"] = self.witness_count()
+        out["witnesses"], out["witness_bytes"] = self.witness_totals()
         out["degraded"] = self.degraded
         try:
             out["bytes"] = os.path.getsize(self.path)

@@ -68,7 +68,12 @@ from repro.verify.discharge import (
 )
 from repro.verify.store import ObligationStore, resolve_store
 from repro.verify.vcgen import Obligation, VCGenerator
-from repro.witness import Certificate, WitnessError, validate as validate_witness
+from repro.witness import (
+    Certificate,
+    WitnessError,
+    trim_certificate,
+    validate as validate_witness,
+)
 
 #: The pseudo-unit id store-served verdicts are reported under in the
 #: event stream (they never reach a real discharge unit).
@@ -460,6 +465,8 @@ class ObligationChecker(DischargeEngine):
             return False
         store.counters.validated_hits += 1
         self.certificates[obligation.oid] = certificate
+        # Already in stored form: served as read, never re-trimmed.
+        self._stored_forms[id(certificate)] = (certificate, certificate)
         return True
 
     def _store_writeback(
@@ -503,18 +510,33 @@ class ObligationChecker(DischargeEngine):
                     )
         store.record_many(self.store_fingerprint, rows)
 
-    def witness_text(self, oid: str) -> Optional[str]:
-        """The canonical serialized certificate for ``oid``, or None.
+    def stored_certificate(self, oid: str) -> Optional[Certificate]:
+        """The certificate for ``oid`` as the store keeps it, or None.
 
-        The oid and premise fingerprint are baked into the stored form
-        without mutating the (possibly chunk-shared) in-memory object.
+        That is the proof core of the collected certificate (see
+        :func:`~repro.witness.trim_certificate`), or the certificate
+        itself when the backward check cannot re-derive its conflict —
+        the kernel then rejects it on the next warm hit.  A certificate
+        a warm hit read back from the store is served as read.  Each
+        distinct certificate object (a chunk's members share one) is
+        trimmed once per run.  The oid and premise fingerprint are baked
+        into a copy; the in-memory object is never mutated.
         """
         certificate = self.certificates.get(oid)
         if certificate is None:
             return None
-        return replace(
-            certificate, oid=oid, fingerprint=self.store_fingerprint
-        ).to_json()
+        entry = self._stored_forms.get(id(certificate))
+        if entry is None:
+            entry = (certificate, trim_certificate(certificate) or certificate)
+            self._stored_forms[id(certificate)] = entry
+        return replace(entry[1], oid=oid, fingerprint=self.store_fingerprint)
+
+    def witness_text(self, oid: str) -> Optional[str]:
+        """The canonical serialized form of :meth:`stored_certificate`:
+        what store write-back persists and ``repro witness show --oid``
+        prints."""
+        certificate = self.stored_certificate(oid)
+        return None if certificate is None else certificate.to_json()
 
     def check_all(
         self,

@@ -6,7 +6,7 @@ scope, and the validation cost model.
 """
 
 from repro.witness.certificate import SCHEMA_VERSION, Certificate
-from repro.witness.emit import certificate_from_solver
+from repro.witness.emit import certificate_from_solver, trim_certificate
 from repro.witness.validate import WitnessError, validate
 
 __all__ = [
@@ -14,5 +14,6 @@ __all__ = [
     "Certificate",
     "WitnessError",
     "certificate_from_solver",
+    "trim_certificate",
     "validate",
 ]

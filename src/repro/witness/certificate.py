@@ -1,13 +1,16 @@
 """The proof-witness certificate and its canonical JSON form.
 
 A :class:`Certificate` is the auditable artifact behind one ``valid``
-verdict: the boolean problem exactly as the SAT core saw it (input
-clauses in arrival order), the theory atom table (SAT variable → linear
-inequality over the obligation's variables), the solve-time assumption
-literals, and the chronological proof-event trail — theory lemmas with
-Farkas coefficients and DRUP-style learned clauses.  The trusted kernel
-(:mod:`repro.witness.validate`) replays exactly this data; nothing else
-is needed.
+verdict: input clauses in arrival order, the theory atom table (SAT
+variable → linear inequality over the obligation's variables), the
+solve-time assumption literals, and the chronological proof-event trail
+— theory lemmas with Farkas coefficients and DRUP-style learned clauses.
+As emitted it holds the boolean problem exactly as the SAT core saw it;
+as serialized into the store it is the proof core
+(:func:`~repro.witness.emit.trim_certificate`), the same shape with
+only the events the refutation uses and the atoms they mention.  The
+trusted kernel (:mod:`repro.witness.validate`) replays exactly this
+data, in either form; nothing else is needed.
 
 Serialization is **canonical JSON**: sorted keys, no whitespace, exact
 rationals as ``"p/q"`` strings, and a schema version — so a certificate
@@ -59,8 +62,11 @@ class Certificate:
 
     ``oid``/``fingerprint`` tie the certificate to an obligation and its
     premise fingerprint once it is attached by the discharge layer; the
-    proof core (atoms, assumptions, events) is obligation-agnostic and
-    may be shared by every member of a conjoined batch.
+    proof (atoms, assumptions, events) is obligation-agnostic and may be
+    shared by every member of a conjoined batch.  An emitted certificate
+    snapshots the solver's whole incremental history; its trimmed proof
+    core, which the store keeps, has ``input`` events that are a
+    subsequence of the emitted ones.
     """
 
     atoms: Dict[int, Atom] = field(default_factory=dict)

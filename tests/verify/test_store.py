@@ -445,6 +445,39 @@ class TestCacheCLI:
         assert "cleared 2" in capsys.readouterr().out
         assert ObligationStore(path).entry_count() == 0
 
+    def test_stats_report_certificate_weight(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        texts = ["x" * 1000, "y" * 1560, None]
+        rows = [
+            (f"oid{i}", "t", "r", True, "unsat", None, text)
+            for i, text in enumerate(texts)
+        ]
+        path = os.fspath(tmp_path / "store.sqlite")
+        store = ObligationStore(path)
+        store.record_many("fp", rows)
+        store.close()
+
+        assert cli_main(["cache", "stats", "--store", path, "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["witnesses"], stats["witness_bytes"]) == (2, 2560)
+        assert cli_main(["cache", "stats", "--store", path]) == 0
+        assert (
+            "witnesses: 2 of 3 valid entries carry a proof certificate (2.5 KiB)"
+            in capsys.readouterr().out
+        )
+
+        # A degraded store sums the certificates it holds in memory.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("occupied")
+        degraded = ObligationStore(os.fspath(blocker / "store.sqlite"))
+        degraded.record_many("fp", rows)
+        assert degraded.degraded
+        assert degraded.stats()["witness_bytes"] == 2560
+        assert ObligationStore(os.fspath(tmp_path / "empty.sqlite")).stats()[
+            "witness_bytes"
+        ] == 0
+
     def test_gc_without_bounds_is_an_error(self, tmp_path):
         from repro.cli import main as cli_main
 

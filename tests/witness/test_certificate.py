@@ -134,6 +134,33 @@ class TestCanonicalJson:
         assert err.value.step == "decode"
 
 
+class TestWitnessShow:
+    FLAGS = ["--bind", "size=3", "--bind", "N=1", "--assume", "eps > 0",
+             "--assume", "N >= 1"]
+
+    def test_summaries_describe_the_printed_certificates(self, capsys):
+        """``show`` summarizes exactly what ``show --oid`` prints (and
+        the store keeps): the proof core, which ``check`` accepts."""
+        from repro.cli import main as cli_main
+
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "..", "examples", "sparse_vector.sdp"
+        )
+        assert cli_main(["witness", "show", path, *self.FLAGS]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines
+        for line in lines:
+            oid, _, status = line.split(maxsplit=2)
+            assert cli_main(["witness", "show", path, *self.FLAGS, "--oid", oid]) == 0
+            certificate = Certificate.from_json(capsys.readouterr().out)
+            validate(certificate)
+            summary = certificate.summary()
+            assert status == (
+                f"{summary['inputs']} inputs, {summary['lemmas']} lemmas, "
+                f"{summary['learned']} learned, {summary['atoms']} atoms"
+            )
+
+
 class TestStoreRoundTrip:
     def test_witness_survives_persistence(self, tmp_path, svt_certificates):
         checker = svt_certificates

@@ -8,8 +8,9 @@ every Farkas sum in ``Fraction``; both are kept here, as test-only
 references, together with a reference ``validate`` built on them.
 Kernel and reference must give the same verdict — the same step counts
 on acceptance, the same ``WitnessError`` step and message on rejection —
-on every registry certificate in both regimes, decoded from its
-canonical JSON, and on seeded deletion and perturbation mutants of them.
+on every registry certificate in both regimes, as emitted and as the
+store keeps it (its proof core), decoded from its canonical JSON, and on
+seeded deletion and perturbation mutants of them.
 """
 
 import dataclasses
@@ -18,10 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms import all_specs
-from repro.pipeline import spec_config
-from repro.verify.verifier import prepare_generator, target_cfg
-from repro.witness import Certificate, WitnessError, validate
+from repro.witness import Certificate, WitnessError, trim_certificate, validate
 
 _ZERO = Fraction(0)
 
@@ -138,32 +136,20 @@ def verdict(check, cert):
         return ("rejected", err.step, err.detail)
 
 
-def _certificates(spec, config):
-    generator, checker = prepare_generator(spec.target(), config)
-    checker.discharge_stream(generator.stream(target_cfg(spec.target(), config)))
-    return list(checker.certificates.values())
+@pytest.fixture(scope="module")
+def in_memory(registry_certificates):
+    """The registry's certificates as emitted, then the proof core of
+    each, as the store keeps it."""
+    return registry_certificates + [
+        trim_certificate(cert) for cert in registry_certificates
+    ]
 
 
 @pytest.fixture(scope="module")
-def emitted():
-    """Every certificate of the registry, as emitted: all programs in the
-    unroll regime, the correct ones in the invariant regime."""
-    certs = []
-    for spec in all_specs():
-        config = dataclasses.replace(spec_config(spec), witness=True)
-        certs += _certificates(spec, config)
-        if spec.expect_verified:
-            certs += _certificates(
-                spec, dataclasses.replace(config, mode="invariant", bindings={})
-            )
-    return certs
-
-
-@pytest.fixture(scope="module")
-def certificates(emitted):
+def certificates(in_memory):
     """The registry's certificates decoded from their canonical JSON, as
     a warm store hit hands them to the kernel."""
-    return [Certificate.from_json(cert.to_json()) for cert in emitted]
+    return [Certificate.from_json(cert.to_json()) for cert in in_memory]
 
 
 def _delete_event(rng, cert):
@@ -230,8 +216,8 @@ def _drop_assumption(rng, cert):
 MUTATORS = (_delete_event, _delete_derived, _perturb_clause, _perturb_farkas, _drop_assumption)
 
 
-def test_registry_certificates_round_trip(emitted, certificates):
-    for cert, decoded in zip(emitted, certificates):
+def test_registry_certificates_round_trip(in_memory, certificates):
+    for cert, decoded in zip(in_memory, certificates):
         text = cert.to_json()
         assert decoded.to_json() == text
         assert decoded == cert
