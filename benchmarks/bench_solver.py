@@ -25,7 +25,7 @@ propagation on a planted 3-SAT instance.
 Usage::
 
     PYTHONPATH=src:. python benchmarks/bench_solver.py [--quick] \
-        [--jobs N] [--json-out BENCH_solver.json]
+        [--json-out BENCH_solver.json]
 
     # CI regression guard: quick sweep, compare the (deterministic)
     # solve-call, round and pivot counters against the committed
@@ -230,12 +230,11 @@ def _bare_target(name: str) -> TargetProgram:
     )
 
 
-#: The quick-mode unroll sweep (CI smoke and the counter guard); the
-#: chaos guard re-runs exactly this list through the process backend.
+#: The quick-mode unroll sweep (CI smoke and the counter guard).
 QUICK_UNROLL_NAMES = ("noisy_max", "svt", "bad_svt_no_budget")
 
 
-def run_workloads(quick: bool, jobs: int) -> Dict:
+def run_workloads(quick: bool) -> Dict:
     unroll_names = (
         list(QUICK_UNROLL_NAMES)
         if quick
@@ -246,7 +245,7 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
     )
     houdini_names = ["noisy_max"]
 
-    results: Dict = {"workloads": {}, "quick": quick, "jobs": jobs, "nproc": os.cpu_count()}
+    results: Dict = {"workloads": {}, "quick": quick, "nproc": os.cpu_count()}
 
     def record(
         workload: str,
@@ -313,7 +312,6 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
     for name in unroll_names:
         spec = get(name)
         config = spec_config(spec)
-        config.jobs = jobs
         config.profile = True
         outcome = verify_target(spec.target(), config, cache=cache)
         stats = outcome.solver_stats()
@@ -332,8 +330,7 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
     for name in invariant_names:
         spec = get(name)
         config = VerificationConfig(
-            mode="invariant", assumptions=spec.assumption_exprs(), jobs=jobs,
-            profile=True,
+            mode="invariant", assumptions=spec.assumption_exprs(), profile=True
         )
         outcome = verify_target(spec.target(), config, cache=cache)
         stats = outcome.solver_stats()
@@ -351,92 +348,13 @@ def run_workloads(quick: bool, jobs: int) -> Dict:
     start = time.perf_counter()
     for name in houdini_names:
         spec = get(name)
-        config = VerificationConfig(
-            mode="invariant", assumptions=spec.assumption_exprs(), jobs=jobs
-        )
+        config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
         result = infer_invariants(_bare_target(name), config, peel=1, cache=cache)
         stats = result.solver_stats  # whole run: pruning rounds + final
         queries += stats["queries"]
         hits += stats["cache_hits"]
         solves += stats["solve_calls"]
     record("houdini", "incremental", queries, hits, solves, time.perf_counter() - start)
-
-    # -- threaded backend (registry invariant sweep) ---------------------------
-    # Same work as the serial incremental invariant sweep, scheduled by
-    # the ThreadedBackend on 4 workers with its own fresh cache.  The
-    # single-flight cache keeps verdicts and solve counts identical;
-    # wall clock is recorded honestly — the solver is pure Python, so on
-    # a stock GIL build (and especially single-core CI runners) workers
-    # interleave and no speedup materializes.
-    threaded_cache = QueryCache()
-    serial_seconds = results["workloads"]["registry-invariant"]["incremental"]["seconds"]
-    queries = hits = solves = 0
-    start = time.perf_counter()
-    for name in invariant_names:
-        spec = get(name)
-        config = VerificationConfig(
-            mode="invariant", assumptions=spec.assumption_exprs(),
-            jobs=4, backend="threaded",
-        )
-        outcome = verify_target(spec.target(), config, cache=threaded_cache)
-        stats = outcome.solver_stats()
-        queries += stats["queries"]
-        hits += stats["cache_hits"]
-        solves += stats["solve_calls"]
-    threaded_seconds = time.perf_counter() - start
-    results["threaded_invariant"] = {
-        "jobs": 4,
-        "queries": queries,
-        "cache_hits": hits,
-        "solve_calls": solves,
-        "seconds": round(threaded_seconds, 3),
-        "serial_seconds": serial_seconds,
-        "speedup_vs_serial": (
-            round(serial_seconds / threaded_seconds, 2) if threaded_seconds > 0 else None
-        ),
-    }
-
-    # -- process backend (registry unroll sweep, jobs sweep) -------------------
-    # Same work as the serial incremental unroll sweep, solved on worker
-    # processes.  Each job count gets its own fresh cache so its counters
-    # are directly comparable to the serial sweep — the oracle-replay
-    # design makes them *identical* (asserted below), which is the whole
-    # point: multicore scheduling with byte-for-byte serial accounting.
-    serial_unroll = results["workloads"]["registry-unroll"]["incremental"]
-    process_section: Dict = {
-        "serial_seconds": serial_unroll["seconds"],
-        "by_jobs": {},
-    }
-    for process_jobs in (1, 2, 4):
-        process_cache = QueryCache()
-        queries = hits = solves = 0
-        start = time.perf_counter()
-        for name in unroll_names:
-            spec = get(name)
-            config = spec_config(spec)
-            config.backend = "process"
-            config.jobs = process_jobs
-            outcome = verify_target(spec.target(), config, cache=process_cache)
-            stats = outcome.solver_stats()
-            queries += stats["queries"]
-            hits += stats["cache_hits"]
-            solves += stats["solve_calls"]
-        seconds = time.perf_counter() - start
-        process_section["by_jobs"][str(process_jobs)] = {
-            "queries": queries,
-            "cache_hits": hits,
-            "solve_calls": solves,
-            "seconds": round(seconds, 3),
-            "speedup_vs_serial": (
-                round(serial_unroll["seconds"] / seconds, 2) if seconds > 0 else None
-            ),
-            "identical_to_serial": (
-                queries == serial_unroll["queries"]
-                and hits == serial_unroll["cache_hits"]
-                and solves == serial_unroll["solve_calls"]
-            ),
-        }
-    results["process_jobs"] = process_section
 
     # -- persistent store: cold vs warm (registry unroll sweep) ----------------
     results["warm_store"] = run_warm_store(unroll_names)
@@ -793,7 +711,7 @@ def _pin_hash_seed() -> None:
     raise SystemExit(subprocess.call([sys.executable] + sys.argv, env=env))
 
 
-def run_guard(reference_path: str, jobs: int) -> int:
+def run_guard(reference_path: str) -> int:
     with open(reference_path) as handle:
         reference = json.load(handle)
     expected = reference.get("quick_reference")
@@ -801,7 +719,7 @@ def run_guard(reference_path: str, jobs: int) -> int:
         print(f"error: {reference_path} has no quick_reference section; "
               f"run --update-reference first", file=sys.stderr)
         return 2
-    results = run_workloads(quick=True, jobs=jobs)
+    results = run_workloads(quick=True)
     print(render(results))
     failed = not within_tolerance("", expected, guard_counters(results))
     hard_expected = reference.get("hard_reference")
@@ -834,8 +752,6 @@ def run_guard(reference_path: str, jobs: int) -> int:
         if warm_solves != 0:
             failed = True
     if not run_witness_guard(results):
-        failed = True
-    if not run_chaos_guard(results):
         failed = True
     if failed:
         print("bench-guard: FAILED (counters regressed beyond tolerance or "
@@ -889,50 +805,13 @@ def run_witness_guard(results: Dict) -> bool:
     return ok
 
 
-def run_chaos_guard(results: Dict) -> bool:
-    """The recovery-path guard leg: the quick unroll sweep through the
-    process backend with **every worker killed** must reproduce the
-    serial sweep's counters exactly — the supervisor's serial re-solve
-    is the same engine, so recovery may never change what gets solved.
-    """
-    from repro import faults
-
-    serial = results["workloads"]["registry-unroll"]["incremental"]
-    expected = {key: serial[key] for key in SERIAL_REFERENCE_COUNTERS}
-    cache = QueryCache()
-    queries = hits = solves = recovered = 0
-    faults.install("worker-kill@*")
-    try:
-        for name in QUICK_UNROLL_NAMES:
-            spec = get(name)
-            config = spec_config(spec)
-            config.backend = "process"
-            config.jobs = 2
-            outcome = verify_target(spec.target(), config, cache=cache)
-            stats = outcome.solver_stats()
-            queries += stats["queries"]
-            hits += stats["cache_hits"]
-            solves += stats["solve_calls"]
-            if outcome.recovery is not None:
-                recovered += 1
-    finally:
-        faults.install(None)
-    current = {"queries": queries, "cache_hits": hits, "solve_calls": solves}
-    ok = current == expected and recovered == len(QUICK_UNROLL_NAMES)
-    status = "OK" if ok else "REGRESSION"
-    print(f"bench-guard: chaos (worker-kill@*, process jobs=2): "
-          f"serial={expected} recovered={current} "
-          f"runs_recovered={recovered}/{len(QUICK_UNROLL_NAMES)} [{status}]")
-    return ok
-
-
-def update_reference(reference_path: str, jobs: int) -> int:
+def update_reference(reference_path: str) -> int:
     try:
         with open(reference_path) as handle:
             reference = json.load(handle)
     except FileNotFoundError:
         reference = {}
-    results = run_workloads(quick=True, jobs=jobs)
+    results = run_workloads(quick=True)
     print(render(results))
     reference["quick_reference"] = guard_counters(results)
     reference["serial_reference"] = serial_counters(results)
@@ -982,23 +861,6 @@ def render(results: Dict) -> str:
             f"hard row ({hard['program']} Fix-eps): {hard['rounds']} rounds, "
             f"{hard['pivots']} pivots, {hard['solve_calls']} solves in {hard['seconds']}s"
         )
-    threaded = results.get("threaded_invariant")
-    if threaded:
-        lines.append(
-            f"threaded invariant sweep (jobs={threaded['jobs']}): "
-            f"{threaded['solve_calls']} solves in {threaded['seconds']}s "
-            f"(serial {threaded['serial_seconds']}s, "
-            f"{threaded['speedup_vs_serial']}x)"
-        )
-    process = results.get("process_jobs")
-    if process:
-        for jobs_key, row in process["by_jobs"].items():
-            identical = "identical counters" if row["identical_to_serial"] else "COUNTERS DIVERGED"
-            lines.append(
-                f"process unroll sweep (jobs={jobs_key}): {row['solve_calls']} solves "
-                f"in {row['seconds']}s (serial {process['serial_seconds']}s, "
-                f"{row['speedup_vs_serial']}x, {identical})"
-            )
     warm_store = results.get("warm_store")
     if warm_store:
         cold, warm = warm_store["cold"], warm_store["warm"]
@@ -1050,7 +912,6 @@ def render(results: Dict) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="small subset for CI smoke")
-    parser.add_argument("--jobs", type=int, default=1, help="discharge parallelism")
     parser.add_argument(
         "--json-out", metavar="PATH", default=None, help="write results as JSON"
     )
@@ -1073,12 +934,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.guard:
         _pin_hash_seed()
-        return run_guard(args.guard, jobs=args.jobs)
+        return run_guard(args.guard)
     if args.update_reference:
         _pin_hash_seed()
-        return update_reference(args.update_reference, jobs=args.jobs)
+        return update_reference(args.update_reference)
 
-    results = run_workloads(quick=args.quick, jobs=args.jobs)
+    results = run_workloads(quick=args.quick)
     if not args.no_microbench:
         results["microbench"] = run_microbench()
     print(render(results))

@@ -22,11 +22,7 @@ Commands
     counts and cache hits; with several files the stages share one
     memoization cache and one solver query cache (``Pipeline.run_many``).
 
-Solver flags (``verify`` and ``pipeline``): ``--jobs N`` discharges
-independent obligation units on ``N`` workers, ``--backend`` pins a
-discharge backend (serial/threaded/process/oneshot) explicitly — the
-``process`` backend solves units on worker processes for real multicore
-speedup with byte-identical results — ``--store PATH`` enables the
+Solver flags (``verify`` and ``pipeline``): ``--store PATH`` enables the
 persistent obligation store (``REPRO_STORE`` env sets a default), so
 verdicts are reused across runs by content id, ``--no-incremental``
 disables push/pop context reuse (one-shot solver per query),
@@ -113,8 +109,6 @@ def _parse_bindings(pairs):
 _VERIFICATION_FLAG_DEFAULTS = {
     "mode": "unroll",
     "unroll": 32,
-    "jobs": 1,
-    "backend": None,
     "store": None,
     "no_incremental": False,
     "fail_fast": False,
@@ -147,8 +141,6 @@ def _config_from_args(args) -> VerificationConfig:
         assumptions=tuple(parse_expr(a) for a in (getattr(args, "assume", None) or ())),
         unroll_limit=_flag_default(args, "unroll"),
         incremental=not _flag_default(args, "no_incremental"),
-        jobs=_flag_default(args, "jobs"),
-        backend=_flag_default(args, "backend"),
         fail_fast=_flag_default(args, "fail_fast"),
         profile=_flag_default(args, "profile"),
         store=_store_from_args(args),
@@ -203,7 +195,7 @@ def _print_solver_stats(stats, indent: str = "") -> None:
         f"{stats['cache_hits']} cache hits, {stats['solve_calls']} solves, "
         f"{stats['pushes']} pushes/{stats['pops']} pops, "
         f"backend={stats.get('backend', 'serial')} "
-        f"({stats.get('units', 0)} units, jobs={stats['jobs']})"
+        f"({stats.get('units', 0)} units)"
     )
     if stats.get("witnesses") is not None:
         print(f"{indent}witnesses: {stats['witnesses']} certificates collected")
@@ -226,22 +218,6 @@ def _print_solver_stats(stats, indent: str = "") -> None:
             f"{store['writes']} writes, {store['invalid']} invalid "
             f"({store.get('entries', 0)} entries on disk){busy}{witnessed}{degraded}"
         )
-    recovery = stats.get("recovery")
-    if recovery:
-        print(
-            f"{indent}recovery: {recovery['pool_restarts']} pool restart(s), "
-            f"{recovery['retries']} retry(ies), "
-            f"{len(recovery['recovered_units'])} unit(s) re-solved serially"
-        )
-        for incident in recovery["incidents"]:
-            print(f"{indent}  incident: {incident}")
-    workers = stats.get("workers")
-    if workers:
-        for pid, row in sorted(workers.items()):
-            print(
-                f"{indent}worker {pid}: {row['units']} units, "
-                f"{row['solve_calls']} solves, {row['cache_hits']} cache hits"
-            )
 
 
 def _print_profile(profile, indent: str = "") -> None:
@@ -466,10 +442,6 @@ def _client_wire_config(args):
         config["assumptions"] = list(args.assume)
     if getattr(args, "unroll", None) is not None:
         config["unroll_limit"] = args.unroll
-    if getattr(args, "jobs", None) is not None:
-        config["jobs"] = args.jobs
-    if getattr(args, "backend", None):
-        config["backend"] = args.backend
     if getattr(args, "fail_fast", False):
         config["fail_fast"] = True
     if getattr(args, "witness", False):
@@ -848,22 +820,6 @@ def _add_verification_flags(parser) -> None:
     parser.add_argument("--assume", action="append", metavar="EXPR")
     parser.add_argument("--unroll", type=int, default=defaults["unroll"])
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=defaults["jobs"],
-        metavar="N",
-        help="discharge independent obligation units on N worker threads "
-        "(structural concurrency; GIL-bound, not a wall-clock multiplier)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "threaded", "process", "oneshot"),
-        default=defaults["backend"],
-        help="pin the discharge backend explicitly (default: derived from "
-        "--jobs/--no-incremental; identical verdicts either way; 'process' "
-        "solves units on worker processes for real multicore speedup)",
-    )
-    parser.add_argument(
         "--store",
         metavar="PATH",
         default=defaults["store"],
@@ -907,8 +863,8 @@ def _add_verification_flags(parser) -> None:
         metavar="SPEC",
         default=defaults["faults"],
         help="install a deterministic fault-injection plan (testing only): "
-        "comma-separated SITE@KEY[:ARG] directives, e.g. "
-        "'worker-kill@2,store-busy@1'; equivalent to REPRO_FAULTS "
+        "comma-separated SITE@KEY directives, e.g. "
+        "'store-busy@1,store-poison@2'; equivalent to REPRO_FAULTS "
         "(see docs/faults.md)",
     )
     parser.add_argument(
@@ -1098,7 +1054,7 @@ def main(argv=None) -> int:
         "--faults",
         metavar="SPEC",
         help="install a deterministic fault-injection plan (testing only): "
-        "comma-separated SITE@KEY[:ARG] directives; equivalent to "
+        "comma-separated SITE@KEY directives; equivalent to "
         "REPRO_FAULTS (see docs/faults.md)",
     )
     p_srv.set_defaults(func=cmd_serve)
@@ -1133,8 +1089,6 @@ def main(argv=None) -> int:
     p_cl.add_argument("--bind", action="append", metavar="NAME=VALUE")
     p_cl.add_argument("--assume", action="append", metavar="EXPR")
     p_cl.add_argument("--unroll", type=int, metavar="N")
-    p_cl.add_argument("--jobs", type=int, metavar="N")
-    p_cl.add_argument("--backend", choices=("serial", "threaded", "process", "oneshot"))
     p_cl.add_argument("--fail-fast", action="store_true")
     p_cl.add_argument(
         "--witness",

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is a comma-separated list of *directives*, each
 naming a **site** (where in the system the fault fires) and a **key**
 (which occurrence it fires on)::
 
-    worker-kill@2,store-poison@1,serve-drop@7
+    store-busy@2,store-poison@1,serve-drop@7
 
 The plan is installed process-wide — via the ``REPRO_FAULTS``
 environment variable, the ``--faults`` CLI flag, or :func:`install` —
@@ -17,10 +17,6 @@ Determinism contract
 
 Faults are keyed by *structure*, not by wall clock or scheduling:
 
-- ``worker-kill@U`` / ``solve-fail@U`` / ``solve-delay@U:S`` match the
-  discharge **unit index** ``U`` (or ``*`` for every unit) and fire on
-  every worker-side attempt at that unit.  Worker scheduling cannot
-  change which units are affected.
 - ``store-poison@N`` / ``store-busy@N`` / ``witness-corrupt@N`` fire on
   the Nth occurrence (1-based) of the corresponding store operation —
   deterministic wherever store traffic is serial, which it is (the
@@ -30,10 +26,7 @@ Faults are keyed by *structure*, not by wall clock or scheduling:
 
 Every fired directive appends a typed :class:`InjectedFault` record to
 ``plan.trail`` so tests and operators can assert exactly which faults
-were exercised.  Worker processes install the plan from the engine
-spec at initializer time; their trails die with the worker — the
-parent's recovery report is the authoritative record of what was
-survived.
+were exercised.
 """
 
 from __future__ import annotations
@@ -45,25 +38,12 @@ from typing import List, Optional, Tuple, Union
 
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
-#: Sites keyed by discharge-unit index (fire on every matching attempt).
-UNIT_SITES = ("worker-kill", "solve-fail", "solve-delay")
-#: Sites keyed by 1-based occurrence count (fire once on the Nth call).
-OCCURRENCE_SITES = ("store-poison", "store-busy", "serve-drop", "witness-corrupt")
-SITES = UNIT_SITES + OCCURRENCE_SITES
+#: The fault sites, each keyed by a 1-based occurrence count.
+SITES = ("store-poison", "store-busy", "serve-drop", "witness-corrupt")
 
 
 class FaultPlanError(ValueError):
     """A fault-plan spec string failed to parse."""
-
-
-class InjectedFailure(RuntimeError):
-    """An injected, by-design-recoverable failure.
-
-    Raised by ``solve-fail`` directives inside discharge workers; the
-    supervisor treats it like any transient worker failure (retry once,
-    then serial fallback).  Picklable, so it crosses the process
-    boundary intact.
-    """
 
 
 @dataclass(frozen=True)
@@ -72,29 +52,22 @@ class InjectedFault:
 
     site: str
     key: str
-    detail: str = ""
 
     def describe(self) -> str:
-        text = f"{self.site}@{self.key}"
-        return f"{text} ({self.detail})" if self.detail else text
+        return f"{self.site}@{self.key}"
 
 
 @dataclass
 class _Directive:
     site: str
-    key: Union[int, str]  # unit index / occurrence count, or "*"
-    arg: Optional[str] = None
+    key: int  # occurrence count
     fired: int = 0
-
-    def spec(self) -> str:
-        text = f"{self.site}@{self.key}"
-        return f"{text}:{self.arg}" if self.arg is not None else text
 
 
 def _parse_directive(text: str) -> _Directive:
     if "@" not in text:
         raise FaultPlanError(
-            f"fault directive {text!r} is missing '@KEY' (expected SITE@KEY[:ARG])"
+            f"fault directive {text!r} is missing '@KEY' (expected SITE@KEY)"
         )
     site, _, rest = text.partition("@")
     site = site.strip()
@@ -102,39 +75,23 @@ def _parse_directive(text: str) -> _Directive:
         raise FaultPlanError(
             f"unknown fault site {site!r} (expected one of: {', '.join(SITES)})"
         )
-    key_text, sep, arg = rest.partition(":")
-    key_text = key_text.strip()
-    arg = arg.strip() if sep else None
-    key: Union[int, str]
-    if key_text == "*":
-        if site in OCCURRENCE_SITES:
-            raise FaultPlanError(
-                f"fault site {site!r} is occurrence-counted and does not accept '*'"
-            )
-        key = "*"
-    else:
-        try:
-            key = int(key_text)
-        except ValueError:
-            raise FaultPlanError(
-                f"fault key {key_text!r} in {text!r} is not an integer or '*'"
-            ) from None
-        if key < 0 or (site in OCCURRENCE_SITES and key < 1):
-            raise FaultPlanError(f"fault key in {text!r} is out of range")
-    if site == "solve-delay":
-        if arg is None:
-            raise FaultPlanError("solve-delay requires ':SECONDS' (e.g. solve-delay@0:1.5)")
-        try:
-            if float(arg) < 0:
-                raise ValueError
-        except ValueError:
-            raise FaultPlanError(f"solve-delay seconds {arg!r} is not a non-negative number") from None
-    elif site == "solve-fail":
-        if arg is not None and arg != "fatal":
-            raise FaultPlanError(f"solve-fail argument must be 'fatal', got {arg!r}")
-    elif arg is not None:
+    key_text, sep, _ = rest.partition(":")
+    if sep:
         raise FaultPlanError(f"fault site {site!r} does not take an argument")
-    return _Directive(site=site, key=key, arg=arg)
+    key_text = key_text.strip()
+    if key_text == "*":
+        raise FaultPlanError(
+            f"fault site {site!r} is occurrence-counted and does not accept '*'"
+        )
+    try:
+        key = int(key_text)
+    except ValueError:
+        raise FaultPlanError(
+            f"fault key {key_text!r} in {text!r} is not an integer"
+        ) from None
+    if key < 1:
+        raise FaultPlanError(f"fault key in {text!r} is out of range")
+    return _Directive(site=site, key=key)
 
 
 @dataclass
@@ -147,63 +104,23 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-        self._occurrences = {site: 0 for site in OCCURRENCE_SITES}
+        self._occurrences = {site: 0 for site in SITES}
         if not self.directives:
             parts = [part.strip() for part in self.spec.split(",")]
             self.directives = [_parse_directive(part) for part in parts if part]
         if not self.directives:
             raise FaultPlanError("fault plan is empty")
 
-    # -- unit-keyed sites -------------------------------------------------
-
-    def _unit_directive(self, site: str, unit_index: int) -> Optional[_Directive]:
-        for directive in self.directives:
-            if directive.site != site:
-                continue
-            if directive.key == "*" or directive.key == unit_index:
-                return directive
-        return None
-
-    def _fire(self, directive: _Directive, key: str, detail: str = "") -> None:
-        with self._lock:
-            directive.fired += 1
-            self.trail.append(InjectedFault(directive.site, key, detail))
-
-    def kill_worker(self, unit_index: int) -> bool:
-        """True if the worker solving this unit should die (``os._exit``)."""
-        directive = self._unit_directive("worker-kill", unit_index)
-        if directive is None:
-            return False
-        self._fire(directive, f"u{unit_index}", f"pid {os.getpid()}")
-        return True
-
-    def worker_fail(self, unit_index: int) -> Optional[str]:
-        """``"fail"``/``"fatal"`` if this unit's worker solve should raise."""
-        directive = self._unit_directive("solve-fail", unit_index)
-        if directive is None:
-            return None
-        kind = "fatal" if directive.arg == "fatal" else "fail"
-        self._fire(directive, f"u{unit_index}", kind)
-        return kind
-
-    def worker_delay(self, unit_index: int) -> Optional[float]:
-        """Seconds this unit's worker solve should sleep, if any."""
-        directive = self._unit_directive("solve-delay", unit_index)
-        if directive is None:
-            return None
-        self._fire(directive, f"u{unit_index}", f"{directive.arg}s")
-        return float(directive.arg or 0.0)
-
     # -- occurrence-counted sites -----------------------------------------
 
-    def _occurrence(self, site: str, detail: str = "") -> bool:
+    def _occurrence(self, site: str) -> bool:
         with self._lock:
             self._occurrences[site] += 1
             count = self._occurrences[site]
             for directive in self.directives:
                 if directive.site == site and directive.key == count:
                     directive.fired += 1
-                    self.trail.append(InjectedFault(site, str(count), detail))
+                    self.trail.append(InjectedFault(site, str(count)))
                     return True
         return False
 
@@ -235,9 +152,9 @@ class FaultPlan:
 
     # -- reporting ---------------------------------------------------------
 
-    def snapshot(self) -> List[Tuple[str, str, str]]:
+    def snapshot(self) -> List[Tuple[str, str]]:
         with self._lock:
-            return [(f.site, f.key, f.detail) for f in self.trail]
+            return [(f.site, f.key) for f in self.trail]
 
 
 _LOCK = threading.Lock()

@@ -75,7 +75,7 @@ class StageResult:
     the solver) and ``solver_cache_hits`` how many of those were answered
     from the shared query cache.  ``solver_stats`` carries the full
     incremental-solver counter set (solve calls, context pushes/pops,
-    discharge parallelism) for stages that report it.
+    discharge strategy and units) for stages that report it.
     """
 
     stage: str
@@ -211,11 +211,11 @@ def source_hash(source: str) -> str:
 def _config_fingerprint(config: VerificationConfig) -> str:
     """A stable cache key component for a verification configuration.
 
-    Solver-strategy settings (``incremental``, ``jobs``) are part of the
-    key even though they cannot change the verdict: a rerun requested
-    with different solver settings is usually after the *statistics*
-    (cache hits, solve calls, parallel speedup), which a memoized
-    artifact from a different strategy would silently misreport.
+    The solver strategy (``incremental``) is part of the key even
+    though it cannot change the verdict: a rerun requested with a
+    different strategy is usually after the *statistics* (cache hits,
+    solve calls), which a memoized artifact from the other strategy
+    would silently misreport.
     """
     return repr(
         (
@@ -227,8 +227,6 @@ def _config_fingerprint(config: VerificationConfig) -> str:
             config.use_lemmas,
             config.collect_models,
             config.incremental,
-            config.jobs,
-            getattr(config.backend, "name", config.backend),
             config.fail_fast,
             config.profile,
             # The persistent store changes what a run *does* (lookups,

@@ -16,7 +16,7 @@ Handshake
 ---------
 On connect the server speaks first::
 
-    {"type": "hello", "server": "repro-serve", "version": "1.2.0", "protocol": 1}
+    {"type": "hello", "server": "repro-serve", "version": "1.2.0", "protocol": 2}
 
 The client answers with its own ``hello`` carrying the protocol version
 it speaks; the server replies ``{"type": "ready", ...}`` or rejects the
@@ -47,7 +47,7 @@ from repro.verify.verifier import VerificationConfig, VerificationOutcome
 
 #: Bumped on every incompatible wire change; both endpoints send it in
 #: the handshake and the server rejects clients speaking anything else.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one framed message (sources, event bursts and status
 #: dumps are all far below this; the cap exists so a corrupt peer cannot
@@ -60,8 +60,6 @@ CONFIG_KEYS = (
     "bindings",
     "assumptions",
     "unroll_limit",
-    "jobs",
-    "backend",
     "fail_fast",
     "witness",
 )
@@ -230,26 +228,15 @@ def config_from_wire(
             raise ProtocolError(f"unparsable assumption: {err}")
     else:
         assumptions = tuple(base.assumptions)
-    backend = data.get("backend", base.backend)
-    if backend is not None and backend not in (
-        "serial",
-        "threaded",
-        "process",
-        "oneshot",
-    ):
-        raise ProtocolError(f"unknown backend {backend!r}")
     try:
         unroll_limit = int(data.get("unroll_limit", base.unroll_limit))
-        jobs = int(data.get("jobs", base.jobs))
     except (TypeError, ValueError) as err:
-        raise ProtocolError(f"unroll_limit/jobs must be integers: {err}")
+        raise ProtocolError(f"unroll_limit must be an integer: {err}")
     return VerificationConfig(
         mode=mode,
         bindings=bindings,
         assumptions=assumptions,
         unroll_limit=unroll_limit,
-        jobs=jobs,
-        backend=backend,
         fail_fast=bool(data.get("fail_fast", base.fail_fast)),
         cancel_event=cancel_event,
         witness=bool(data.get("witness", base.witness)),

@@ -103,9 +103,6 @@ class VerifyServer:
         rejected immediately with a typed ``overloaded`` error carrying
         a ``retry_after`` hint instead of queuing unboundedly.  Default
         ``4 × max_concurrent``.
-    degraded_window:
-        How long (seconds) a recovery incident — a worker-pool restart
-        survived by a request — keeps ``health`` reporting ``degraded``.
     """
 
     def __init__(
@@ -122,7 +119,6 @@ class VerifyServer:
         drain_grace: float = 30.0,
         quiet: bool = False,
         max_queue: Optional[int] = None,
-        degraded_window: float = 60.0,
     ) -> None:
         if socket_path is None and port is None:
             raise ValueError("serve needs a unix socket path and/or a TCP port")
@@ -145,7 +141,6 @@ class VerifyServer:
         self.max_queue = (
             max(1, max_queue) if max_queue is not None else 4 * self.max_concurrent
         )
-        self.degraded_window = degraded_window
         self.counters: Dict[str, int] = {
             "received": 0,
             "completed": 0,
@@ -157,9 +152,6 @@ class VerifyServer:
         #: Verify requests admitted and not yet finished (event-loop
         #: thread only), compared against ``max_queue`` at admission.
         self._inflight = 0
-        #: Recent recovery incidents as ``(monotonic time, cause)``;
-        #: pruned to ``degraded_window`` by :meth:`health_message`.
-        self._incidents: List[Tuple[float, str]] = []
         self.warmed: List[str] = []
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_concurrent, thread_name_prefix="repro-serve"
@@ -535,14 +527,6 @@ class VerifyServer:
             else:
                 self.counters["completed"] += 1
                 cached = run.stages["verify"].cached
-                recovery = run.outcome.recovery
-                if recovery and not cached:
-                    restarts = recovery.get("pool_restarts", 0)
-                    recovered = len(recovery.get("recovered_units", ()))
-                    self._note_incident(
-                        f"worker-pool: {restarts} restart(s),"
-                        f" {recovered} unit(s) re-solved serially"
-                    )
                 await self._send(writer, protocol.result_to_wire(run, cached, rid))
         finally:
             self._inflight -= 1
@@ -633,31 +617,17 @@ class VerifyServer:
 
     # -- introspection ---------------------------------------------------------
 
-    def _note_incident(self, cause: str) -> None:
-        """Record a survived fault so ``health`` can report ``degraded``."""
-        self._incidents.append((time.monotonic(), cause))
-
     def health_message(self, rid: Optional[str] = None) -> Dict[str, Any]:
         """The ``health`` response: liveness beyond "the socket accepts".
 
         ``ok`` — fully healthy.  ``degraded`` — still serving correct
-        results, but something worth paging on happened: the obligation
-        store fell back to memory-only writes, or a request survived a
-        worker-pool restart within the last ``degraded_window`` seconds.
-        ``draining`` — shutting down; new verify requests are rejected.
-        Every degradation comes with its cause.
+        results, but the obligation store fell back to memory-only
+        writes.  ``draining`` — shutting down; new verify requests are
+        rejected.  Every degradation comes with its cause.
         """
-        now = time.monotonic()
-        self._incidents = [
-            (when, cause)
-            for when, cause in self._incidents
-            if now - when <= self.degraded_window
-        ]
-        causes = [cause for _, cause in self._incidents]
+        causes: List[str] = []
         if self.store is not None and self.store.degraded:
-            causes.insert(
-                0, "obligation-store degraded: verdicts kept in memory only"
-            )
+            causes.append("obligation-store degraded: verdicts kept in memory only")
         if self._draining:
             status = "draining"
         elif causes:
@@ -668,7 +638,7 @@ class VerifyServer:
             status,
             causes,
             rid,
-            uptime_seconds=round(now - self._started, 3),
+            uptime_seconds=round(time.monotonic() - self._started, 3),
             inflight=self._inflight,
             max_queue=self.max_queue,
         )

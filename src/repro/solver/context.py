@@ -4,8 +4,8 @@ Two pieces sit between the high-level validity interface and the raw
 DPLL(T) core:
 
 :class:`QueryCache`
-    A process-shareable, thread-safe map from *normalized* entailment
-    queries to their answers (and countermodels).  Normalization —
+    A thread-safe map from *normalized* entailment queries to their
+    answers (and countermodels).  Normalization —
     simplification, premise deduplication and canonical ordering — makes
     alpha-trivial variants of a query (permuted premises, ``x+0`` vs
     ``x``) hit the same entry, which the raw-AST-keyed caches of earlier
@@ -26,7 +26,6 @@ DPLL(T) core:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -72,22 +71,6 @@ def normalize_query(
     return (simplify(goal), tuple(kept), frozenset(bool_vars))
 
 
-def oracle_digest(key: Tuple) -> str:
-    """A process-portable digest of a normalized query key.
-
-    The structural key from :func:`normalize_query` contains a frozenset
-    whose repr order follows the per-process string hash seed, so the
-    digest canonicalizes it to a sorted tuple before hashing.  Worker
-    processes and the parent therefore compute the same digest for the
-    same query, which is what lets the process discharge backend ship
-    answer maps across the pickle boundary without shipping the (much
-    larger) structural keys themselves.
-    """
-    goal, premises, bool_vars = key
-    payload = repr((goal, premises, tuple(sorted(bool_vars))))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class CacheEntry:
     """A memoized entailment answer.
@@ -95,9 +78,8 @@ class CacheEntry:
     ``status`` is the solver verdict on ``premises ∧ ¬goal`` ("unsat" =
     valid, "sat" = refuted with ``model``, "unknown" = gave up).
     ``certificate`` is the proof witness behind a valid answer when the
-    solve ran with witnesses on (plain picklable data — it crosses both
-    the single-flight cache and the process-backend oracle unchanged);
-    None for refuted/unknown answers and for witness-off solves.
+    solve ran with witnesses on; None for refuted/unknown answers and
+    for witness-off solves.
     """
 
     valid: bool
@@ -123,12 +105,11 @@ class QueryCache:
     **Single-flight:** :meth:`acquire` hands the same key to exactly one
     solver at a time — a second thread asking while the first is mid
     solve *waits* for the stored answer instead of solving redundantly.
-    This is what makes the threaded discharge backend's solve-call and
-    cache-hit counters identical to the serial backend's for every job
-    count: the number of solves equals the number of distinct normalized
-    queries, regardless of scheduling.  In the uncontended (serial) case
-    ``acquire``/``store`` count exactly like ``lookup``/``store`` always
-    did.
+    ``repro serve`` runs concurrent requests on threads that share one
+    cache, so across a request mix the number of solves equals the
+    number of distinct normalized queries, regardless of scheduling.  In
+    the uncontended case ``acquire``/``store`` count exactly like
+    ``lookup``/``store``.
 
     ``encodings`` is the :class:`~repro.solver.encode.EncodingMemo` every
     encoder built for this cache shares (same ``max_entries`` bound), so
@@ -291,7 +272,6 @@ class SolverContext:
         bool_vars: Optional[Set[str]] = None,
         cache: Optional[QueryCache] = None,
         max_rounds: int = 100_000,
-        oracle: Optional[Dict[str, CacheEntry]] = None,
         witness: bool = False,
     ) -> None:
         self.bool_vars = set(bool_vars or ())
@@ -302,18 +282,12 @@ class SolverContext:
         self.solver = SMTSolver(max_rounds=max_rounds)
         #: Emit proof certificates for valid answers (see repro.witness).
         self.witness = witness
-        #: The certificate behind the most recent valid answer (solve,
-        #: cache hit or oracle replay), or None.
+        #: The certificate behind the most recent valid answer (solve or
+        #: cache hit), or None.
         self.last_certificate: Optional[object] = None
         if witness:
             self.solver.enable_proof()
         self.cache = cache
-        #: Pre-solved answers keyed by :func:`oracle_digest` — the
-        #: process backend's replay path: a cache miss whose answer the
-        #: oracle holds is accounted exactly like a solve (the solve
-        #: really happened, in a worker process) and fed to the shared
-        #: cache, skipping the redundant parent-side DPLL(T) run.
-        self.oracle = oracle
         self.stats = ContextStats()
         #: premises per scope; index 0 is the base scope.
         self._premises: List[List[ast.Expr]] = [[]]
@@ -368,22 +342,6 @@ class SolverContext:
             entry = self.cache.acquire(key)
             if entry is not None:
                 self.stats.cache_hits += 1
-                self.last_certificate = entry.certificate
-                return entry.valid, entry.model
-
-        if self.oracle is not None and key is not None:
-            entry = self.oracle.get(oracle_digest(key))
-            if entry is not None:
-                # A worker already ran this solve; book it with the
-                # canonical serial accounting (one pushed scope, one
-                # solve, one pop) so merged counters stay byte-identical
-                # to a serial run, and publish the answer so later
-                # queries hit the shared cache exactly as they would
-                # have serially.
-                self.stats.pushes += 1
-                self.stats.pops += 1
-                self.stats.solve_calls += 1
-                self.cache.store(key, entry)
                 self.last_certificate = entry.certificate
                 return entry.valid, entry.model
 

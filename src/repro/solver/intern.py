@@ -16,7 +16,7 @@ Houdini rounds and batch sweeps — but long-running embedders can call
 
 Thread-safety: the constructors publish through ``_TABLE.setdefault``
 (atomic under the GIL), so concurrent builders of the same key — the
-verifier's ``jobs > 1`` discharge pool — always converge on one
+request threads of ``repro serve`` — always converge on one
 canonical node; identity equality stays sound.  The ``hits``/``misses``
 counters are deliberately unlocked (they feed the ``intern_hits``
 profile field and may under-count slightly under contention).

@@ -11,9 +11,8 @@ of the source program (Theorem 2).  This package provides:
   paper's manually-supplied-invariant regime).
 * :mod:`repro.verify.discharge` — the first-class discharge API:
   :class:`DischargePlan` partitions the obligation stream into
-  independent, addressable work units; pluggable
-  :class:`DischargeBackend`\\ s (serial / threaded / one-shot /
-  cache-wrapped) schedule them with a deterministic per-unit merge; a
+  addressable work units; a :class:`DischargeBackend` (serial, or
+  one-shot when ``incremental=False``) schedules them in plan order; a
   typed :class:`DischargeEvent` stream reports progress.
 * :mod:`repro.verify.lemmas` — instantiation lemmas relating monomial
   atoms (sign propagation and multiplication monotonicity), standing in
@@ -33,16 +32,13 @@ from repro.verify.verifier import (
 )
 from repro.verify.vcgen import Obligation, Provenance, VCGenerator
 from repro.verify.discharge import (
-    CachedBackend,
     DischargeBackend,
     DischargeEvent,
     DischargePlan,
     DischargeUnit,
     OneShotBackend,
     SerialBackend,
-    ThreadedBackend,
     event_kind,
-    resolve_backend,
 )
 from repro.verify.houdini import HoudiniResult, infer_invariants
 
@@ -55,16 +51,13 @@ __all__ = [
     "Obligation",
     "Provenance",
     "VCGenerator",
-    "CachedBackend",
     "DischargeBackend",
     "DischargeEvent",
     "DischargePlan",
     "DischargeUnit",
     "OneShotBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "event_kind",
-    "resolve_backend",
     "HoudiniResult",
     "infer_invariants",
 ]

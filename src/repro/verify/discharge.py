@@ -3,7 +3,7 @@
 This module is the public API the verification layer is built around:
 
 * :class:`DischargePlan` partitions an obligation *stream* into
-  independent :class:`DischargeUnit` work units — obligations sharing a
+  :class:`DischargeUnit` work units — obligations sharing a
   path-condition prefix, which symbolic execution emits along one CFG
   region (a branch merge resets the chain and starts a new unit).
   Units are produced incrementally (:meth:`DischargePlan.stream_units`),
@@ -14,22 +14,19 @@ This module is the public API the verification layer is built around:
   :class:`~repro.solver.context.SolverContext`, goals are discharged
   conjoined with model-guided refinement, and refutations come back
   with the countermodel from the refuting solve.
-* **Backends** schedule units: :class:`SerialBackend` in plan order,
-  :class:`ThreadedBackend` on a worker pool, :class:`OneShotBackend`
-  with a fresh solver per query (the non-incremental strategy), and
-  :class:`CachedBackend` wrapping any of them with a shared
-  :class:`~repro.solver.context.QueryCache`.  All backends merge
-  per-unit results and counters **deterministically, keyed by unit
-  id** — verdicts, obligation ids and solve counts are identical for
-  any backend and job count (the shared cache is single-flight, so a
-  query concurrently in flight is solved exactly once).
+* **Backends** schedule units on the caller's thread, in plan order:
+  :class:`SerialBackend` discharges each unit under one solver context
+  (the incremental strategy) and :class:`OneShotBackend` uses a fresh
+  solver per query.  The engine's ``incremental`` flag picks one; both
+  answer through the engine's
+  :class:`~repro.solver.context.QueryCache`.
 * :class:`DischargeEvent` is the typed progress stream — unit
   started/finished, obligation discharged/refuted, early exit — that
   the pipeline uses for per-stage progress and
   early-exit-on-first-refutation, and the CLI renders under
   ``--progress``.
 
-Everything here is backend-agnostic over a duck-typed *engine* (see
+Everything here works over a duck-typed *engine* (see
 :class:`DischargeEngine`; :class:`repro.verify.verifier.ObligationChecker`
 is the configured engine plus the legacy ``check``/``check_all``
 surface).
@@ -37,21 +34,10 @@ surface).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
 import threading
 import time
-from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
 from typing import (
     Callable,
     Dict,
@@ -64,18 +50,15 @@ from typing import (
     Union,
 )
 
-from repro import faults as faults_mod
 from repro.core import preconditions
 from repro.core.simplify import simplify
 from repro.lang import ast
 from repro.solver import formula as F
 from repro.solver.context import (
-    CacheEntry,
     ContextStats,
     Model,
     QueryCache,
     SolverContext,
-    oracle_digest,
 )
 from repro.solver.encode import EncodeError, Encoder, EncodingMemo
 from repro.solver.interface import ValidityChecker
@@ -84,55 +67,20 @@ from repro.verify import lemmas as lemma_mod
 from repro.verify.store import ObligationStore, premise_fingerprint
 from repro.verify.vcgen import Obligation
 
-#: Environment variable consulted when a configuration does not pin a
-#: backend: it overrides the default discharge parallelism (the CI
-#: ``verify-jobs-smoke`` leg runs the whole suite under ``2``).
-JOBS_ENV_VAR = "REPRO_VERIFY_JOBS"
-
-#: Environment variable naming the default backend when a configuration
-#: pins neither a backend nor a job count: the CI
-#: ``process-backend-smoke`` leg sets it to ``process`` to run the whole
-#: suite through worker processes.
-BACKEND_ENV_VAR = "REPRO_VERIFY_BACKEND"
-
-#: Per-unit worker solve deadline (seconds) for the process backend
-#: when a configuration does not pin a backend instance.  A unit whose
-#: worker misses the deadline is resubmitted once, then re-solved
-#: through the serial engine.  Unset = no deadline.
-DEADLINE_ENV_VAR = "REPRO_UNIT_DEADLINE"
-
 
 class DischargeCancelled(Exception):
     """A discharge run was cancelled cooperatively before completing.
 
-    Raised at unit/chunk boundaries, or when discharge ends, if the
-    engine's ``cancel_event`` is set (per-request timeouts and server
-    drain in ``repro serve``), and used by backends to unwind cleanly:
-    pushed solver scopes are popped (``SolverContext.check_entailment``
-    pops in a ``finally``), in-flight single-flight cache acquisitions
-    are released (``QueryCache.cancel``), and queued-but-unstarted work
-    is dropped — no waiter deadlocks, no leaked scopes.
+    Raised at unit, member and chunk boundaries, or when discharge ends,
+    if the engine's ``cancel_event`` is set (per-request timeouts and
+    server drain in ``repro serve``).  It unwinds like any exception
+    raised mid-discharge: a pushed solver scope is popped
+    (``SolverContext.check_entailment`` pops in a ``finally``), a
+    single-flight cache acquisition in progress is released
+    (``QueryCache.cancel``) so serve's other request threads never wait
+    on it, and the units the plan has not reached are never started.
     """
 
-
-class DischargeWorkerError(RuntimeError):
-    """A discharge worker failed with a non-recoverable exception.
-
-    Raised by the threaded and process backends when a worker's
-    exception is neither cancellation nor a supervised fault (worker
-    death, deadline, injected failure — those recover serially).  Names
-    the unit and its obligation oids so the failure is attributable
-    without digging through a pool traceback.
-    """
-
-    def __init__(self, unit: "DischargeUnit", cause: BaseException) -> None:
-        self.unit = unit.uid
-        self.oids = unit.oids()
-        super().__init__(
-            f"discharge worker failed on unit {self.unit}"
-            f" (obligations: {', '.join(self.oids)}):"
-            f" {type(cause).__name__}: {cause}"
-        )
 
 
 @dataclass
@@ -244,18 +192,6 @@ def event_kind(event: DischargeEvent) -> str:
     return "".join(out)
 
 
-class _LockedSink:
-    """Serializes event emission from concurrent unit workers."""
-
-    def __init__(self, sink: Callable[[DischargeEvent], None]) -> None:
-        self._sink = sink
-        self._lock = Lock()
-
-    def __call__(self, event: DischargeEvent) -> None:
-        with self._lock:
-            self._sink(event)
-
-
 # ---------------------------------------------------------------------------
 # The plan: addressable work units over the obligation stream
 # ---------------------------------------------------------------------------
@@ -263,13 +199,13 @@ class _LockedSink:
 
 @dataclass
 class DischargeUnit:
-    """Obligations sharing a path prefix — one independent work unit.
+    """Obligations sharing a path prefix — one work unit.
 
     ``base`` is the common path prefix (asserted once into the unit's
     solver context); each member carries its obligation's global stream
     index and its path *suffix* beyond the base.  ``uid`` is
     deterministic — the unit's plan index plus the CFG region of its
-    first obligation — and is the key every backend merges results by.
+    first obligation — and names the unit in the event stream.
     """
 
     index: int
@@ -299,8 +235,7 @@ class DischargePlan:
     monotonically growing path conditions; each such chain becomes one
     unit whose base is its first obligation's path.  A branch merge
     resets the chain (its paths are not extensions of the previous
-    base), which starts a fresh unit — so units align with CFG regions,
-    and the unit count is independent of backend and job count.
+    base), which starts a fresh unit — so units align with CFG regions.
     """
 
     def __init__(self, units: List[DischargeUnit]) -> None:
@@ -368,10 +303,11 @@ class DischargeEngine:
     """Premise assembly plus per-unit discharge against the SMT solver.
 
     One engine is configured per verification run (Ψ, parameter
-    assumptions, lemma policy, shared query cache); backends call
-    :meth:`discharge_unit` (incremental strategies) or
-    :meth:`check_one` (the one-shot strategy) and merge the returned
-    accounting deterministically.
+    assumptions, lemma policy, query cache, strategy).  Its
+    :attr:`backend` — :class:`SerialBackend` when ``incremental``, else
+    :class:`OneShotBackend` — calls :meth:`discharge_unit` or
+    :meth:`check_one` for each unit, and the engine folds the returned
+    accounting in unit order.
     """
 
     #: Conjoined-discharge width: batches wider than this are chunked.
@@ -388,8 +324,6 @@ class DischargeEngine:
         collect_models: bool = True,
         cache: Optional[QueryCache] = None,
         incremental: bool = True,
-        jobs: int = 1,
-        backend: Optional[Union[str, "DischargeBackend"]] = None,
         cancel_event: Optional[threading.Event] = None,
         store: Optional[ObligationStore] = None,
         witness: bool = False,
@@ -400,8 +334,6 @@ class DischargeEngine:
         self.collect_models = collect_models
         self.cache = cache if cache is not None else QueryCache()
         self.incremental = incremental
-        self.jobs = max(1, jobs)
-        self.backend_choice = backend
         #: Persistent cross-run verdict cache (None = disabled).
         self.store = store
         self._store_fingerprint: Optional[str] = None
@@ -429,14 +361,6 @@ class DischargeEngine:
         #: engine ran (the one-shot path accumulates directly into
         #: ``self.validity.profile``).
         self.profile = SolverProfile()
-        #: Per-worker raw solve totals from the last process-backend
-        #: run (pid-keyed; schedule-dependent, unlike the merged view).
-        self.worker_report: Optional[Dict[str, Dict[str, int]]] = None
-        #: Supervision report from the last process-backend run: pool
-        #: restarts, retries and serially re-solved units.  ``None``
-        #: when the run saw no incidents, so fault-free outcomes are
-        #: byte-identical to builds without supervision.
-        self.recovery: Optional[Dict[str, object]] = None
 
     @property
     def store_fingerprint(self) -> str:
@@ -447,12 +371,10 @@ class DischargeEngine:
             )
         return self._store_fingerprint
 
-    # -- cache plumbing --------------------------------------------------------
-
-    def attach_cache(self, cache: QueryCache) -> None:
-        """Swap in a shared query cache (see :class:`CachedBackend`)."""
-        self.cache = cache
-        self.validity.cache = cache
+    @property
+    def backend(self) -> "DischargeBackend":
+        """The scheduler ``incremental`` selects."""
+        return SerialBackend() if self.incremental else OneShotBackend()
 
     # -- cooperative cancellation ----------------------------------------------
 
@@ -534,22 +456,19 @@ class DischargeEngine:
         on_failure: Optional[Callable[[Obligation], None]] = None,
         emit: EventSink = None,
         batch: bool = True,
-        oracle: Optional[Dict[str, CacheEntry]] = None,
     ) -> Tuple[ContextStats, SolverProfile]:
         """Discharge one unit under one pushed solver context.
 
         The unit's shared premises (global assumptions + path base) are
         asserted once; members are then discharged conjoined (``batch``)
         or individually.  Returns the context's counters for the
-        caller's deterministic merge — nothing is accumulated on shared
-        state from worker threads.  ``oracle`` pre-answers queries a
-        worker process already solved (the process backend's replay).
+        caller's in-order merge.
         """
         self.check_cancelled(unit, emit)
         if emit is not None:
             emit(UnitStarted(unit.uid, len(unit.members)))
         start = time.perf_counter()
-        context = SolverContext(cache=self.cache, oracle=oracle, witness=self.witness)
+        context = SolverContext(cache=self.cache, witness=self.witness)
         for premise in self.assumptions:
             context.assert_expr(premise)
         for premise in unit.base:
@@ -676,8 +595,6 @@ class DischargeEngine:
         ``certificate`` may be ``None`` (the answer came from a source
         with no attached proof — e.g. a cache entry populated before
         witnesses were enabled); those verdicts simply go unwitnessed.
-        Dict assignment is atomic, so threaded workers can record
-        concurrently without a lock.
         """
         if certificate is not None:
             self.certificates[obligation.oid] = certificate
@@ -710,13 +627,8 @@ class DischargeEngine:
     def merge_accounts(
         self, accounts: Iterable[Tuple[int, Tuple[ContextStats, SolverProfile]]]
     ) -> None:
-        """Fold per-unit counters into the engine, ordered by unit index.
-
-        The ordered merge makes the engine's aggregate counters a pure
-        function of the per-unit counters, independent of which worker
-        thread finished first.
-        """
-        for _, (unit_stats, unit_profile) in sorted(accounts, key=lambda item: item[0]):
+        """Fold per-unit counters into the engine, in unit order."""
+        for _, (unit_stats, unit_profile) in accounts:
             self.stats.merge(unit_stats)
             self.profile.merge(unit_profile)
 
@@ -747,11 +659,11 @@ class DischargeBackend:
     """The backend protocol: schedule a stream of units over an engine.
 
     ``run`` consumes ``units`` (possibly lazily, while the symbolic
-    executor is still producing obligations), records refutations into
-    ``results`` keyed by global obligation index, and returns the
-    per-unit ``(index, (stats, profile))`` accounts for the engine's
-    deterministic merge.  ``fail_fast`` stops scheduling new units once
-    a refutation lands.
+    executor is still producing obligations) on the caller's thread,
+    records refutations into ``results`` keyed by global obligation
+    index, and returns the per-unit ``(index, (stats, profile))``
+    accounts in plan order.  ``fail_fast`` stops scheduling new units
+    once a refutation lands.
     """
 
     name = "abstract"
@@ -771,7 +683,8 @@ class DischargeBackend:
 
 
 class SerialBackend(DischargeBackend):
-    """Discharge units one after another, in plan order."""
+    """Discharge units one after another, in plan order, each under
+    one solver context (the incremental strategy)."""
 
     name = "serial"
 
@@ -792,456 +705,6 @@ class SerialBackend(DischargeBackend):
         return accounts
 
 
-class ThreadedBackend(DischargeBackend):
-    """Discharge independent units on a worker-thread pool.
-
-    Results and counters are merged keyed by unit id, and the shared
-    query cache is single-flight, so verdicts, obligation ids, solve
-    counts and the merged statistics are identical to the serial
-    backend for every job count.  (The solver is pure Python: on a
-    stock GIL build workers interleave rather than run concurrently, so
-    ``jobs`` bounds *structural* concurrency; wall-clock gains need a
-    free-threaded build or multiple cores doing I/O.)
-    """
-
-    name = "threaded"
-
-    def __init__(self, jobs: int = 2) -> None:
-        self.jobs = max(1, jobs)
-
-    def run(self, engine, units, results, skip=None, on_failure=None,
-            emit=None, batch=True, fail_fast=False):
-        if emit is not None and not isinstance(emit, _LockedSink):
-            emit = _LockedSink(emit)
-        # Set by the first unit that raises: a worker may dequeue the next
-        # unit before the main thread gets to cancel it, so each unit
-        # checks the event before it starts.
-        stop = threading.Event()
-
-        def guarded(unit):
-            if stop.is_set():
-                return None  # never collected: an earlier unit's error is raised first
-            try:
-                return engine.discharge_unit(unit, results, skip, on_failure, emit, batch)
-            except BaseException:
-                stop.set()
-                raise
-
-        futures: List[Tuple[int, object]] = []
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            try:
-                for unit in units:
-                    # Cancellation and fail-fast are checked before
-                    # submitting, so early_exited means this unit (at
-                    # least) was genuinely never scheduled.
-                    engine.check_cancelled(unit, emit)
-                    if fail_fast and results:
-                        engine.early_exited = True
-                        if emit is not None:
-                            emit(
-                                EarlyExit(
-                                    unit.uid,
-                                    "first refutation (fail-fast); unit not scheduled",
-                                )
-                            )
-                        break
-                    future = pool.submit(guarded, unit)
-                    futures.append((unit, future))
-                accounts = []
-                for unit, future in futures:
-                    try:
-                        accounts.append((unit.index, future.result()))
-                    except (DischargeCancelled, DischargeWorkerError):
-                        raise
-                    except Exception as err:
-                        raise DischargeWorkerError(unit, err) from err
-            except BaseException:
-                # A worker raised (DischargeCancelled, solver error) or
-                # the main thread was interrupted mid-collection
-                # (KeyboardInterrupt).  Queued-but-unstarted units are
-                # dropped here; without this, the executor's shutdown
-                # would run the *whole* remaining plan before the
-                # exception could propagate.  Running units finish their
-                # current solve and unwind via their own handlers
-                # (scopes popped, single-flight acquisitions released).
-                for _, future in futures:
-                    future.cancel()
-                engine.early_exited = True
-                raise
-        return accounts
-
-
-# -- process-backend worker plumbing ----------------------------------------
-#
-# Everything a worker needs must cross the pickle boundary: obligations,
-# premises and cache entries are frozen dataclasses over interned
-# expression nodes (all picklable), and the engine itself is rebuilt in
-# each worker from a small spec at pool start.
-
-
-@dataclass(frozen=True)
-class _EngineSpec:
-    """The picklable subset of engine configuration a worker rebuilds."""
-
-    psi: ast.Expr
-    assumptions: Tuple[ast.Expr, ...]
-    use_lemmas: bool
-    collect_models: bool
-    batch_limit: int
-    #: The parent's fault-plan spec, re-installed in each worker so
-    #: worker-side directives (worker-kill, solve-fail, solve-delay)
-    #: fire under both fork and spawn start methods.
-    faults: Optional[str] = None
-    #: Whether workers emit proof certificates (they ride back to the
-    #: parent's authoritative replay inside the oracle's cache entries).
-    witness: bool = False
-
-
-class _RecordingCache:
-    """A :class:`QueryCache` shim that records every consulted answer.
-
-    Workers solve speculatively against their own per-process cache;
-    the recorded ``digest → entry`` map is the unit's *answer oracle*,
-    shipped back to the parent so its authoritative replay can skip the
-    redundant solves (see :class:`ProcessPoolBackend`).
-    """
-
-    def __init__(self, inner: QueryCache) -> None:
-        self.inner = inner
-        self.entries: Dict[str, CacheEntry] = {}
-        self.encodings = inner.encodings
-
-    def acquire(self, key) -> Optional[CacheEntry]:
-        entry = self.inner.acquire(key)
-        if entry is not None:
-            self.entries[oracle_digest(key)] = entry
-        return entry
-
-    def store(self, key, entry: CacheEntry) -> None:
-        self.entries[oracle_digest(key)] = entry
-        self.inner.store(key, entry)
-
-    def cancel(self, key) -> None:
-        self.inner.cancel(key)
-
-
-_WORKER_ENGINE: Optional[DischargeEngine] = None
-
-
-def _process_worker_init(spec: _EngineSpec) -> None:
-    global _WORKER_ENGINE
-    # Under the fork start method the worker inherits the parent's
-    # signal state — including any asyncio wakeup fd, whose underlying
-    # pipe is SHARED with the parent's event loop.  Detach it and
-    # restore default handlers, or a signal delivered to a worker (e.g.
-    # the executor terminating siblings of a crashed worker) would echo
-    # into the parent loop as if the parent had been signalled.
-    try:
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    faults_mod.install(spec.faults)
-    engine = DischargeEngine(
-        spec.psi,
-        list(spec.assumptions),
-        use_lemmas=spec.use_lemmas,
-        collect_models=spec.collect_models,
-        witness=spec.witness,
-    )
-    engine.batch_limit = spec.batch_limit
-    _WORKER_ENGINE = engine
-
-
-def _process_worker_discharge(
-    unit: DischargeUnit, batch: bool
-) -> Tuple[int, int, ContextStats, SolverProfile, Dict[str, CacheEntry]]:
-    """Solve one unit in a worker; return its stats and answer oracle."""
-    engine = _WORKER_ENGINE
-    if engine is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("process worker used before initialization")
-    plan = faults_mod.active()
-    if plan is not None:
-        delay = plan.worker_delay(unit.index)
-        if delay:
-            time.sleep(delay)
-        failure = plan.worker_fail(unit.index)
-        if failure == "fatal":
-            raise RuntimeError(f"injected fatal worker error at unit {unit.index}")
-        if failure is not None:
-            raise faults_mod.InjectedFailure(
-                f"injected solve failure at unit {unit.index}"
-            )
-        if plan.kill_worker(unit.index):
-            os._exit(43)
-    recorder = _RecordingCache(engine.cache)
-    engine.attach_cache(recorder)  # type: ignore[arg-type]
-    try:
-        stats, profile = engine.discharge_unit(unit, {}, batch=batch)
-    finally:
-        engine.attach_cache(recorder.inner)
-    return unit.index, os.getpid(), stats, profile, recorder.entries
-
-
-def _process_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap: interned tables come along); the
-    platform default elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return multiprocessing.get_context()
-
-
-class ProcessPoolBackend(DischargeBackend):
-    """Discharge units on worker *processes* — real multicore solving.
-
-    Each worker owns a full Encoder/SMTSolver/QueryCache stack and
-    solves whole units speculatively, recording every answer it
-    consulted.  The parent then **replays** each unit, in plan order,
-    through the ordinary serial discharge path against the shared query
-    cache — with the worker's answer map as a solve *oracle*: a shared
-    cache miss whose answer the oracle holds is accounted exactly like
-    a serial solve and never touches the parent's DPLL(T) core.  The
-    replay therefore reproduces the serial backend's exact hit/miss/
-    solve sequence: verdicts, obligation ids, failure lists, the event
-    stream and the merged counters are byte-identical to
-    :class:`SerialBackend` for every job count, while the expensive
-    solving runs concurrently in the workers.  (An oracle miss — a
-    replay query no worker happened to solve — simply falls through to
-    a real parent-side solve, trading a little speed for none of the
-    determinism.)
-
-    Fail-fast inherits the same determinism: replays run in plan
-    order, so the run stops at exactly the unit the serial backend
-    stops at, with the same failures and counters.  Only the stream
-    *generation* extent can run ahead of serial there — workers solve
-    speculatively, so obligations may be produced (never discharged)
-    past the refuting unit.
-
-    Raw per-worker solve totals (schedule-dependent, unlike the merged
-    view) are published on ``engine.worker_report``.
-
-    **Supervision.**  The replay-is-the-source-of-truth design makes
-    recovery free of special cases: a replay whose worker died (or
-    missed its solve deadline, or raised an injected failure) simply
-    runs with ``oracle=None`` — which *is* a genuine serial solve
-    against the shared cache — so verdicts, failure lists, oids, the
-    event stream and the merged counters stay byte-identical to
-    :class:`SerialBackend` even when every worker is killed.  A broken
-    pool is respawned up to ``max_restarts`` times; past that budget
-    the run degrades to fully-serial discharge for the remaining units.
-    Incidents are published on ``engine.recovery`` (``None`` for clean
-    runs, so fault-free outcomes are unchanged).
-
-    Houdini-style pruning (``skip``) consults a live closure per
-    obligation, which cannot cross the process boundary — those runs
-    delegate to :class:`SerialBackend`.
-    """
-
-    name = "process"
-
-    def __init__(self, jobs: int = 2, deadline: Optional[float] = None,
-                 max_restarts: int = 2) -> None:
-        self.jobs = max(1, jobs)
-        #: Per-unit worker solve deadline in seconds (None = no limit).
-        self.deadline = deadline
-        #: How many broken pools to respawn before degrading to serial.
-        self.max_restarts = max(0, max_restarts)
-
-    def run(self, engine, units, results, skip=None, on_failure=None,
-            emit=None, batch=True, fail_fast=False):
-        if skip is not None:
-            return SerialBackend().run(
-                engine, units, results, skip=skip, on_failure=on_failure,
-                emit=emit, batch=batch, fail_fast=fail_fast,
-            )
-        plan = faults_mod.active()
-        spec = _EngineSpec(
-            engine.psi,
-            tuple(engine.assumptions),
-            engine.use_lemmas,
-            engine.collect_models,
-            engine.batch_limit,
-            faults=plan.spec if plan is not None else None,
-            witness=engine.witness,
-        )
-        accounts: List[Tuple[int, Tuple[ContextStats, SolverProfile]]] = []
-        per_worker: Dict[str, Dict[str, int]] = {}
-        #: (unit, future-or-None, pool generation); a None future means
-        #: the pool was gone at submit time and the unit is serial-only.
-        pending: "deque[Tuple[DischargeUnit, object, int]]" = deque()
-        failed_uid: Optional[str] = None
-        state = {"pool": None, "generation": 0, "restarts": 0}
-
-        def recovery() -> Dict[str, object]:
-            if engine.recovery is None:
-                engine.recovery = {
-                    "pool_restarts": 0,
-                    "retries": 0,
-                    "recovered_units": [],
-                    "incidents": [],
-                }
-            return engine.recovery
-
-        def note(unit: DischargeUnit, cause: str) -> None:
-            recovery()["incidents"].append(f"{unit.uid}: {cause}")
-
-        def spawn() -> None:
-            state["pool"] = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=_process_context(),
-                initializer=_process_worker_init,
-                initargs=(spec,),
-            )
-
-        def retire(generation: int) -> None:
-            """A pool broke: respawn within budget, else degrade to
-            serial-only for everything still outstanding.  Generation
-            guards make the many broken futures of one crash retire
-            (and count) the pool exactly once."""
-            if generation != state["generation"]:
-                return
-            state["generation"] += 1
-            pool, state["pool"] = state["pool"], None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            if state["restarts"] < self.max_restarts:
-                state["restarts"] += 1
-                recovery()["pool_restarts"] += 1
-                spawn()
-
-        def submit(unit: DischargeUnit) -> Tuple[object, int]:
-            for _ in range(2):
-                pool = state["pool"]
-                if pool is None:
-                    break
-                try:
-                    future = pool.submit(_process_worker_discharge, unit, batch)
-                    return future, state["generation"]
-                except (BrokenExecutor, RuntimeError):
-                    # The pool broke between a result and this submit
-                    # (RuntimeError = submit raced its shutdown).
-                    retire(state["generation"])
-            return None, state["generation"]
-
-        def fetch(unit: DischargeUnit, future, generation: int,
-                  retried: bool = False):
-            """The worker's result tuple, or None after a supervised
-            failure — the caller then re-solves the unit serially."""
-            if future is None:
-                return None
-            try:
-                return future.result(timeout=self.deadline)
-            except FutureTimeoutError:
-                future.cancel()
-                note(unit, "deadline exceeded" + (" (retry)" if retried else ""))
-                if retried:
-                    return None
-                recovery()["retries"] += 1
-                return fetch(unit, *submit(unit), retried=True)
-            except faults_mod.InjectedFailure as err:
-                note(unit, f"worker failure: {err}" + (" (retry)" if retried else ""))
-                if retried:
-                    return None
-                recovery()["retries"] += 1
-                return fetch(unit, *submit(unit), retried=True)
-            except BrokenExecutor:
-                note(unit, "worker crashed")
-                retire(generation)
-                return None
-            except (DischargeCancelled, DischargeWorkerError):
-                raise
-            except Exception as err:
-                raise DischargeWorkerError(unit, err) from err
-
-        def replay_one() -> None:
-            nonlocal failed_uid
-            unit, future, generation = pending.popleft()
-            got = fetch(unit, future, generation)
-            oracle = None
-            if got is not None:
-                _, pid, w_stats, w_profile, oracle = got
-                bucket = per_worker.setdefault(
-                    f"pid{pid}",
-                    {"units": 0, "queries": 0, "cache_hits": 0, "solve_calls": 0},
-                )
-                bucket["units"] += 1
-                bucket["queries"] += w_stats.queries
-                bucket["cache_hits"] += w_stats.cache_hits
-                bucket["solve_calls"] += w_stats.solve_calls
-            else:
-                recovery()["recovered_units"].append(unit.uid)
-            # With an oracle, the replay skips the redundant solves;
-            # with oracle=None (supervised failure) it *is* a genuine
-            # serial solve — identical counters either way.
-            stats, profile = engine.discharge_unit(
-                unit, results, None, on_failure, emit, batch, oracle=oracle
-            )
-            if got is not None:
-                # The replay's counters are the canonical (serial-
-                # identical) account; the worker's inner-loop profile is
-                # where the pivots actually happened, so fold it in for
-                # honest --profile totals.
-                profile.merge(w_profile)
-            accounts.append((unit.index, (stats, profile)))
-            if fail_fast and results and failed_uid is None:
-                failed_uid = unit.uid
-
-        units = iter(units)
-        spawn()
-        try:
-            # Replays run strictly in plan order, so the first unit
-            # whose replay records a refutation is the same unit the
-            # serial backend would have stopped at — fail-fast is as
-            # deterministic as everything else, however the workers
-            # were actually scheduled (or supervised).
-            while failed_uid is None:
-                unit = next(units, None)
-                if unit is None:
-                    break
-                engine.check_cancelled(unit, emit)
-                pending.append((unit, *submit(unit)))
-                # Opportunistic in-order replay keeps the parent's
-                # shared cache warm while the stream is still
-                # producing (and surfaces fail-fast refutations as
-                # early as the serial backend would).
-                while (pending and failed_uid is None
-                       and (pending[0][1] is None or pending[0][1].done())):
-                    replay_one()
-            while pending and failed_uid is None:
-                replay_one()
-            if failed_uid is not None and (pending or next(units, None) is not None):
-                # Mirror SerialBackend: only an early exit if work
-                # actually remained past the refuted unit.  Units
-                # already speculatively solved in the workers are
-                # simply discarded unreplayed.
-                engine.early_exited = True
-                if emit is not None:
-                    emit(EarlyExit(failed_uid, "first refutation (fail-fast)"))
-            for _, future, _ in pending:
-                if future is not None:
-                    future.cancel()
-            pending.clear()
-        except BaseException:
-            # Mirror ThreadedBackend: a worker raised or the main
-            # thread was interrupted mid-collection.  Queued-but-
-            # unstarted units are dropped here — without this, pool
-            # shutdown would run the whole remaining plan before
-            # the exception could propagate.
-            for _, future, _ in pending:
-                if future is not None:
-                    future.cancel()
-            engine.early_exited = True
-            raise
-        finally:
-            pool, state["pool"] = state["pool"], None
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-        engine.worker_report = {pid: dict(row) for pid, row in sorted(per_worker.items())}
-        return accounts
-
-
 class OneShotBackend(DischargeBackend):
     """A fresh solver per query, per obligation, in stream order.
 
@@ -1258,7 +721,7 @@ class OneShotBackend(DischargeBackend):
         units = iter(units)
         for unit in units:
             # Solver accounting lives on engine.validity; the account
-            # entry records the unit for the deterministic merge/count.
+            # entry records the unit for the merge and the unit count.
             accounts.append((unit.index, (ContextStats(), SolverProfile())))
             for position, (index, obligation, _) in enumerate(unit.members):
                 engine.check_cancelled(unit, emit)
@@ -1285,105 +748,6 @@ class OneShotBackend(DischargeBackend):
                             emit(EarlyExit(unit.uid, "first refutation (fail-fast)"))
                     return accounts
         return accounts
-
-
-class CachedBackend(DischargeBackend):
-    """Wrap another backend with a shared (single-flight) query cache.
-
-    The pipeline holds one :class:`QueryCache` per batch; wrapping the
-    chosen backend installs it on the engine, so identical queries
-    across programs, bindings and Houdini rounds are solved once.
-    """
-
-    def __init__(self, inner: DischargeBackend, cache: Optional[QueryCache] = None) -> None:
-        self.inner = inner
-        self.cache = cache if cache is not None else QueryCache()
-
-    @property
-    def name(self) -> str:
-        return f"cached+{self.inner.name}"
-
-    def run(self, engine, units, results, **kwargs):
-        engine.attach_cache(self.cache)
-        return self.inner.run(engine, units, results, **kwargs)
-
-
-def resolve_backend(
-    incremental: bool = True,
-    jobs: int = 1,
-    choice: Optional[Union[str, DischargeBackend]] = None,
-    cache: Optional[QueryCache] = None,
-) -> DischargeBackend:
-    """The backend a configuration denotes.
-
-    ``choice`` wins when given (a name or a ready backend instance);
-    otherwise the legacy knobs decide: ``incremental=False`` → one-shot,
-    ``jobs > 1`` → threaded, else serial.  When no choice is pinned the
-    ``REPRO_VERIFY_JOBS`` environment variable can raise the default
-    parallelism and ``REPRO_VERIFY_BACKEND`` can name a different
-    default backend (that is how the CI jobs-smoke and
-    process-backend-smoke legs run the whole test suite through the
-    threaded and process backends).  ``cache`` wraps the result in a
-    :class:`CachedBackend`.
-    """
-    backend: DischargeBackend
-    if isinstance(choice, DischargeBackend):
-        backend = choice
-    else:
-        name = choice
-        if name is None:
-            unpinned = incremental and jobs == 1
-            env = os.environ.get(JOBS_ENV_VAR)
-            if env and unpinned:
-                try:
-                    jobs = max(1, int(env))
-                except ValueError:
-                    pass
-            name = "oneshot" if not incremental else ("threaded" if jobs > 1 else "serial")
-            env_backend = os.environ.get(BACKEND_ENV_VAR)
-            if env_backend and unpinned:
-                name = env_backend
-        if name == "serial":
-            backend = SerialBackend()
-        elif name == "threaded":
-            backend = ThreadedBackend(jobs=max(2, jobs) if jobs > 1 else jobs)
-        elif name == "process":
-            backend = ProcessPoolBackend(
-                jobs=max(2, jobs) if jobs > 1 else jobs,
-                deadline=_env_deadline(),
-            )
-        elif name == "oneshot":
-            backend = OneShotBackend()
-        else:
-            raise ValueError(
-                f"unknown discharge backend {name!r};"
-                " expected serial, threaded, process or oneshot"
-            )
-    if cache is not None:
-        backend = CachedBackend(backend, cache)
-    return backend
-
-
-def _env_deadline() -> Optional[float]:
-    """The ``REPRO_UNIT_DEADLINE`` per-unit deadline, when set and sane."""
-    env = os.environ.get(DEADLINE_ENV_VAR)
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def effective_jobs(backend: DischargeBackend) -> int:
-    """The worker count a backend actually discharges with.
-
-    Unwraps :class:`CachedBackend`; serial and one-shot backends run on
-    the caller's thread (1).
-    """
-    inner = getattr(backend, "inner", backend)
-    return getattr(inner, "jobs", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -226,11 +226,11 @@ def infer_invariants(
     queries out of the cache instead of re-solving them.
 
     Pruning rounds and the final verification discharge through the
-    first-class API (:mod:`repro.verify.discharge`): the configured
-    backend schedules the obligation units, and ``on_event`` receives
-    the typed :class:`DischargeEvent` stream — unit/obligation events
-    from every discharge plus a :class:`RoundFinished` per pruning
-    round.
+    first-class API (:mod:`repro.verify.discharge`): the backend
+    ``config.incremental`` selects schedules the obligation units, and
+    ``on_event`` receives the typed :class:`DischargeEvent` stream —
+    unit/obligation events from every discharge plus a
+    :class:`RoundFinished` per pruning round.
     """
     config = config or VerificationConfig(mode="invariant")
     pool = list(candidates) if candidates is not None else default_candidates(target, config.bindings)
@@ -247,8 +247,6 @@ def infer_invariants(
         collect_models=False,
         cache=cache,
         incremental=config.incremental,
-        jobs=config.jobs,
-        backend=config.backend,
     )
 
     surviving = list(pool)
@@ -285,8 +283,6 @@ def infer_invariants(
         collect_models=config.collect_models,
         cache=cache,
         incremental=config.incremental,
-        jobs=config.jobs,
-        backend=config.backend,
     )
     # Pruning rounds always run their full plan — every refutation is
     # pruning signal, not failure — but the final verification honours
@@ -307,8 +303,7 @@ def infer_invariants(
         solve_calls=stats.solve_calls,
         context_pushes=stats.pushes,
         context_pops=stats.pops,
-        jobs=final_checker.effective_jobs,
-        backend=final_checker.backend_name,
+        backend=final_checker.backend.name,
         units=final_checker.units_run,
         early_exit=final_checker.early_exited,
     )

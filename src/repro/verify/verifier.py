@@ -11,9 +11,9 @@ The discharge machinery itself is the first-class API in
 :mod:`repro.verify.discharge`: the symbolic executor streams
 :class:`~repro.verify.vcgen.Obligation`\\ s with provenance, a
 :class:`~repro.verify.discharge.DischargePlan` partitions the stream
-into addressable units, and a :class:`DischargeBackend` (serial /
-threaded / one-shot, optionally cache-wrapped) schedules them while
-emitting a typed :class:`DischargeEvent` stream.  This module wires a
+into addressable units, and a :class:`DischargeBackend` (serial or
+one-shot) schedules them while emitting a typed
+:class:`DischargeEvent` stream.  This module wires a
 :class:`VerificationConfig` to that API and keeps the legacy
 :class:`ObligationChecker` surface (``check`` / ``check_all``) on top
 of it.
@@ -53,7 +53,6 @@ from repro.solver import intern
 from repro.solver.context import QueryCache
 from repro.target.transform import TargetProgram
 from repro.verify.discharge import (
-    DischargeBackend,
     DischargeEngine,
     DischargePlan,
     DischargeUnit,
@@ -62,9 +61,6 @@ from repro.verify.discharge import (
     ObligationDischarged,
     ObligationFailure,
     ObligationRefuted,
-    _LockedSink,
-    effective_jobs,
-    resolve_backend,
 )
 from repro.verify.store import ObligationStore, resolve_store
 from repro.verify.vcgen import Obligation, VCGenerator
@@ -90,16 +86,12 @@ class VerificationConfig:
     ``assumptions`` are extra premises about the (remaining symbolic)
     parameters, e.g. ``eps > 0``.
 
-    Discharge strategy: ``backend`` names one explicitly ("serial",
-    "threaded", "oneshot", or a ready
-    :class:`~repro.verify.discharge.DischargeBackend` instance); when
-    None the legacy knobs decide — ``incremental`` groups obligations
-    into path-prefix units under pushed solver contexts, ``jobs > 1``
-    schedules units on a worker pool.  Any backend and job count
-    produces identical verdicts, obligation ids and solve counts; the
-    solver is pure Python, so on a stock GIL build thread workers
-    interleave rather than run concurrently.  ``fail_fast`` stops
-    scheduling work units after the first refutation.
+    Discharge strategy: ``incremental`` (the default) groups
+    obligations into path-prefix units, each discharged under one
+    solver context with conjoined goals; ``incremental=False`` asks a
+    fresh solver per obligation.  Both run on the caller's thread and
+    give the same verdicts.  ``fail_fast`` stops scheduling work units
+    after the first refutation.
     """
 
     mode: str = "unroll"  # "unroll" | "invariant"
@@ -110,8 +102,6 @@ class VerificationConfig:
     use_lemmas: bool = True
     collect_models: bool = True
     incremental: bool = True
-    jobs: int = 1
-    backend: Optional[Union[str, DischargeBackend]] = None
     fail_fast: bool = False
     #: Attach the inner-loop :class:`SolverProfile` counters (pivots,
     #: propagations, conflicts, restarts, interned-node hits…) to the
@@ -150,8 +140,8 @@ class VerificationOutcome:
     ``solve_calls`` the DPLL(T) solves actually executed (each refuted
     obligation costs exactly one — the countermodel comes from the
     refuting solve).  ``context_pushes``/``context_pops`` count
-    incremental scope traffic; ``jobs``/``backend``/``units`` record
-    the discharge schedule used, and ``early_exit`` whether
+    incremental scope traffic; ``backend``/``units`` record the
+    discharge strategy and the units it ran, and ``early_exit`` whether
     ``fail_fast`` stopped it before the full plan ran.
     """
 
@@ -164,7 +154,6 @@ class VerificationOutcome:
     solve_calls: int = 0
     context_pushes: int = 0
     context_pops: int = 0
-    jobs: int = 1
     backend: str = "serial"
     units: int = 0
     early_exit: bool = False
@@ -179,16 +168,6 @@ class VerificationOutcome:
     #: Persistent-store traffic for this run (hits/misses/writes/invalid
     #: plus the entry count), when a store was configured.
     store: Optional[Dict[str, int]] = None
-    #: Raw per-worker solve totals from a process-backend run.  These
-    #: are schedule-dependent by nature; the merged counters above are
-    #: the schedule-invariant view.
-    workers: Optional[Dict[str, Dict[str, int]]] = None
-    #: Supervision report from a process-backend run that survived
-    #: worker failures (pool restarts, retries, serially re-solved
-    #: units, incident causes).  None on clean runs — the verdict
-    #: fields above are byte-identical to serial either way; only this
-    #: report records that recovery happened.
-    recovery: Optional[Dict[str, object]] = None
     #: How many proof certificates the run collected (fresh emissions
     #: plus validated warm hits).  None when witnesses were off.
     witnesses: Optional[int] = None
@@ -210,7 +189,6 @@ class VerificationOutcome:
             "solve_calls": self.solve_calls,
             "pushes": self.context_pushes,
             "pops": self.context_pops,
-            "jobs": self.jobs,
             "backend": self.backend,
             "units": self.units,
         }
@@ -218,10 +196,6 @@ class VerificationOutcome:
             stats["profile"] = dict(self.profile)
         if self.store is not None:
             stats["store"] = dict(self.store)
-        if self.workers is not None:
-            stats["workers"] = {pid: dict(row) for pid, row in self.workers.items()}
-        if self.recovery is not None:
-            stats["recovery"] = dict(self.recovery)
         if self.witnesses is not None:
             stats["witnesses"] = self.witnesses
         return stats
@@ -276,20 +250,18 @@ def bind_command(cmd: ast.Command, bindings: Dict[str, Fraction]) -> ast.Command
 class ObligationChecker(DischargeEngine):
     """The configured discharge engine plus the legacy checking surface.
 
-    Strategy selection (see :func:`repro.verify.discharge.resolve_backend`):
+    ``incremental`` selects the strategy (see
+    :attr:`~repro.verify.discharge.DischargeEngine.backend`):
 
     * **serial** (default) — obligations are grouped into path-prefix
       units; each unit's premises (assumptions + path base) are
       asserted once into a :class:`SolverContext` and every member is
       checked under one pushed scope, goals conjoined with model-guided
       refinement.
-    * **threaded** — independent units are discharged on a worker pool
-      (``jobs`` workers) sharing one single-flight :class:`QueryCache`;
-      results and counters merge deterministically by unit id.
     * **oneshot** — ``incremental=False`` restores a fresh solver per
       query (still single-solve and cache-backed).
 
-    All strategies are sound and agree on every genuine verdict.  The
+    Both strategies are sound and agree on every genuine verdict.  The
     conjoined check asserts the *union* of its chunk's premise
     extensions — all valid facts — so it can additionally prove goals
     the one-shot abstraction spuriously refutes (strictly more
@@ -332,16 +304,6 @@ class ObligationChecker(DischargeEngine):
         get their ``last_used`` refreshed in one batch per run, fail-fast
         exits included.
         """
-        backend = resolve_backend(self.incremental, self.jobs, self.backend_choice)
-        if (
-            emit is not None
-            and effective_jobs(backend) > 1
-            and not isinstance(emit, _LockedSink)
-        ):
-            # Plan events (main thread) and unit events (workers) go
-            # through one serialized writer; single-threaded backends
-            # skip the lock.
-            emit = _LockedSink(emit)
         store = self.store if (skip is None and on_failure is None) else None
         #: store-refuted obligations, keyed by original stream index.
         store_failures: Dict[int, ObligationFailure] = {}
@@ -358,7 +320,7 @@ class ObligationChecker(DischargeEngine):
         if store is not None:
             units = _remember_units(units, units_seen)
         results: Dict[int, ObligationFailure] = {}
-        accounts = backend.run(
+        accounts = self.backend.run(
             self,
             units,
             results,
@@ -551,21 +513,6 @@ class ObligationChecker(DischargeEngine):
             obligations, skip=skip, on_failure=on_failure, batch=batch, emit=emit
         )
 
-    @property
-    def effective_backend(self) -> DischargeBackend:
-        """The backend this checker's configuration resolves to."""
-        return resolve_backend(self.incremental, self.jobs, self.backend_choice)
-
-    @property
-    def backend_name(self) -> str:
-        return self.effective_backend.name
-
-    @property
-    def effective_jobs(self) -> int:
-        """The discharge worker count actually used (env overrides and
-        explicit backend instances included), for honest accounting."""
-        return effective_jobs(self.effective_backend)
-
 
 def _remember_units(units, seen: List[DischargeUnit]):
     """Tee the streamed units into ``seen`` (for store write-back)."""
@@ -580,7 +527,9 @@ def _remember_units(units, seen: List[DischargeUnit]):
 
 
 def prepare_generator(
-    target: TargetProgram, config: VerificationConfig
+    target: TargetProgram,
+    config: VerificationConfig,
+    cache: Optional[QueryCache] = None,
 ) -> Tuple[VCGenerator, ObligationChecker]:
     """The configured symbolic executor and checker for one run.
 
@@ -588,7 +537,8 @@ def prepare_generator(
     CLI's ``repro obligations`` listing: parameters are bound, the body
     CFG is built and constant guards are folded (statically-dead
     branches never generate obligations), and the checker carries Ψ,
-    the assumptions and the discharge strategy.
+    the assumptions, the discharge strategy and ``cache`` (a fresh
+    :class:`QueryCache` when None).
     """
     psi = _bind_psi(target.function.precondition, config.bindings)
     assumptions = [bind_expr(a, config.bindings) for a in config.assumptions]
@@ -604,9 +554,8 @@ def prepare_generator(
         assumptions,
         use_lemmas=config.use_lemmas,
         collect_models=config.collect_models,
+        cache=cache,
         incremental=config.incremental,
-        jobs=config.jobs,
-        backend=config.backend,
         cancel_event=config.cancel_event,
         store=resolve_store(config.store),
         witness=config.witness,
@@ -649,9 +598,7 @@ def verify_target(
 
     ``cache`` is an optional shared :class:`QueryCache`; the pipeline
     passes one per batch so repeated obligations across programs,
-    bindings and Houdini rounds are answered once (the configured
-    backend is wrapped in a
-    :class:`~repro.verify.discharge.CachedBackend`).  ``on_event``
+    bindings and Houdini rounds are answered once.  ``on_event``
     receives the typed :class:`DischargeEvent` stream as units are
     scheduled and obligations discharged.
     """
@@ -659,13 +606,7 @@ def verify_target(
     start = time.perf_counter()
     intern_hits_before, intern_misses_before = intern.counters()
 
-    generator, checker = prepare_generator(target, config)
-    if cache is not None:
-        # Wrap the resolved backend so the shared cache is installed at
-        # discharge time — the CachedBackend composition path.
-        checker.backend_choice = resolve_backend(
-            checker.incremental, checker.jobs, checker.backend_choice, cache=cache
-        )
+    generator, checker = prepare_generator(target, config, cache)
     store_before = checker.store.snapshot() if checker.store is not None else None
     try:
         stream = generator.stream(target_cfg(target, config))
@@ -705,15 +646,12 @@ def verify_target(
         solve_calls=stats.solve_calls,
         context_pushes=stats.pushes,
         context_pops=stats.pops,
-        jobs=checker.effective_jobs,
-        backend=checker.backend_name,
+        backend=checker.backend.name,
         units=checker.units_run,
         early_exit=checker.early_exited,
         profile=profile_dict,
         oids=[ob.oid for ob in generator.obligations],
         store=store_stats,
-        workers=checker.worker_report,
-        recovery=checker.recovery,
         witnesses=len(checker.certificates) if config.witness else None,
     )
 

@@ -14,39 +14,24 @@ def _clean_faults():
 
 
 class TestGrammar:
-    def test_unit_sites_accept_indices_and_star(self):
-        plan = FaultPlan("worker-kill@2,solve-fail@*,solve-delay@0:1.5")
-        assert [d.site for d in plan.directives] == [
-            "worker-kill", "solve-fail", "solve-delay",
-        ]
-        assert plan.directives[0].key == 2
-        assert plan.directives[1].key == "*"
-        assert plan.directives[2].arg == "1.5"
-
     def test_whitespace_and_empty_parts_tolerated(self):
-        plan = FaultPlan(" worker-kill@1 , , store-busy@3 ")
+        plan = FaultPlan(" store-poison@1 , , store-busy@3 ")
         assert len(plan.directives) == 2
-
-    def test_solve_fail_fatal_argument(self):
-        plan = FaultPlan("solve-fail@1:fatal")
-        assert plan.directives[0].arg == "fatal"
-        assert plan.directives[0].spec() == "solve-fail@1:fatal"
 
     @pytest.mark.parametrize(
         "spec",
         [
             "bogus@1",                 # unknown site
-            "worker-kill",             # missing @KEY
-            "worker-kill@x",           # non-integer key
-            "worker-kill@-1",          # negative key
+            "worker-kill@1",           # retired sites fail loudly
+            "solve-fail@1",
+            "solve-delay@1:0.5",
+            "store-busy",              # missing @KEY
+            "store-busy@x",            # non-integer key
+            "store-busy@-1",           # negative key
             "store-poison@0",          # occurrence keys are 1-based
             "store-poison@*",          # occurrence sites reject '*'
             "serve-drop@*",
-            "solve-delay@1",           # missing :SECONDS
-            "solve-delay@1:-2",        # negative delay
-            "solve-delay@1:soon",      # non-numeric delay
-            "solve-fail@1:sometimes",  # only 'fatal' is a valid arg
-            "worker-kill@1:boom",      # site takes no argument
+            "store-busy@1:boom",       # sites take no argument
             "",                        # empty plan
             " , ,",
         ],
@@ -57,33 +42,12 @@ class TestGrammar:
 
 
 class TestFiring:
-    def test_unit_sites_fire_on_every_matching_attempt(self):
-        plan = FaultPlan("worker-kill@2")
-        assert plan.kill_worker(2) is True
-        assert plan.kill_worker(2) is True  # retries die too
-        assert plan.kill_worker(1) is False
-        assert [f.site for f in plan.trail] == ["worker-kill", "worker-kill"]
-
-    def test_star_matches_every_unit(self):
-        plan = FaultPlan("worker-kill@*")
-        assert all(plan.kill_worker(i) for i in range(5))
-
-    def test_solve_fail_reports_kind(self):
-        assert FaultPlan("solve-fail@1").worker_fail(1) == "fail"
-        assert FaultPlan("solve-fail@1:fatal").worker_fail(1) == "fatal"
-        assert FaultPlan("solve-fail@1").worker_fail(0) is None
-
-    def test_solve_delay_returns_seconds(self):
-        plan = FaultPlan("solve-delay@3:0.25")
-        assert plan.worker_delay(3) == 0.25
-        assert plan.worker_delay(2) is None
-
     def test_occurrence_sites_fire_on_the_nth_call_only(self):
         plan = FaultPlan("store-busy@2")
         assert plan.store_busy() is False
         assert plan.store_busy() is True
         assert plan.store_busy() is False
-        assert plan.snapshot() == [("store-busy", "2", "")]
+        assert plan.snapshot() == [("store-busy", "2")]
 
     def test_occurrence_counters_are_per_site(self):
         plan = FaultPlan("store-poison@1,store-busy@1")
@@ -98,13 +62,13 @@ class TestFiring:
         assert plan.drop_connection(3) is False
 
     def test_trail_records_typed_faults(self):
-        plan = FaultPlan("worker-kill@0")
-        plan.kill_worker(0)
-        fault = plan.trail[0]
+        plan = FaultPlan("witness-corrupt@2")
+        plan.witness_corrupt()
+        plan.witness_corrupt()
+        (fault,) = plan.trail
         assert isinstance(fault, InjectedFault)
-        assert fault.site == "worker-kill" and fault.key == "u0"
-        assert "pid" in fault.detail
-        assert fault.describe().startswith("worker-kill@u0")
+        assert fault.site == "witness-corrupt" and fault.key == "2"
+        assert fault.describe() == "witness-corrupt@2"
 
 
 class TestInstallation:
@@ -115,7 +79,7 @@ class TestInstallation:
         assert faults.active() is None  # cached, no re-read
 
     def test_install_and_clear(self):
-        plan = faults.install("worker-kill@1")
+        plan = faults.install("store-busy@1")
         assert faults.active() is plan
         faults.install(None)
         assert faults.active() is None

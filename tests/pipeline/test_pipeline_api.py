@@ -8,9 +8,13 @@ buggy SVT variant with a concrete counterexample, the legacy
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import Pipeline, PipelineError, pipeline
 from repro.algorithms import get
 from repro.lang import ast
@@ -20,6 +24,26 @@ from repro.pipeline import STAGES, source_hash
 SVT = get("svt")
 NOISY_MAX = get("noisy_max")
 BUGGY = get("bad_svt_no_budget")
+
+
+def test_import_loads_no_pool_machinery():
+    """Discharge runs on the caller's thread: importing the pipeline
+    loads neither ``multiprocessing`` nor ``concurrent.futures``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.pipeline; "
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestStages:
@@ -217,3 +241,16 @@ class TestCLI:
         )
         assert code == 1
         assert "REFUTED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--jobs", "2"], ["--backend", "process"], ["--faults", "worker-kill@1"]],
+    )
+    def test_removed_discharge_settings_are_usage_errors(self, tmp_path, flags):
+        from repro.cli import main
+
+        try:
+            code = main(["verify", self._write(tmp_path, SVT)] + self._flags(SVT) + flags)
+        except SystemExit as exit_info:  # argparse rejects unknown flags
+            code = exit_info.code
+        assert code == 2

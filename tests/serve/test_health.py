@@ -6,15 +6,33 @@ import time
 
 import pytest
 
-from repro import faults
 from repro.serve import ServeClient, ServeError, ServerThread, protocol
+from repro.verify.discharge import DischargeEngine
 
 
-@pytest.fixture(autouse=True)
-def _clean_faults():
-    yield
-    faults.install(None)
-    faults.reset()
+def _hold_discharge(monkeypatch) -> threading.Event:
+    """Make every discharge unit wait until the returned event is set.
+
+    The server runs in-process under :class:`ServerThread`, so the patch
+    reaches its request threads and a verify request stays admitted for
+    as long as the test needs.
+    """
+    release = threading.Event()
+    original = DischargeEngine.discharge_unit
+
+    def held(self, *args, **kwargs):
+        release.wait(60)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DischargeEngine, "discharge_unit", held)
+    return release
+
+
+def _wait_for_admission(server) -> None:
+    deadline = time.monotonic() + 10
+    while server._inflight == 0:
+        assert time.monotonic() < deadline, "blocker never admitted"
+        time.sleep(0.02)
 
 
 class TestHealth:
@@ -29,27 +47,6 @@ class TestHealth:
                 assert health["uptime_seconds"] >= 0
                 assert health["inflight"] == 0
                 assert health["max_queue"] >= 1
-
-    def test_health_degraded_after_worker_pool_restart(self, tmp_path):
-        sock = str(tmp_path / "serve.sock")
-        faults.install("worker-kill@*")
-        with ServerThread(socket_path=sock) as st:
-            with ServeClient(socket_path=sock) as client:
-                result = client.verify(
-                    spec="svt", config={"backend": "process", "jobs": 2}
-                )
-                assert result["outcome"]["verified"] is True
-                recovery = result["outcome"]["counters"]["recovery"]
-                assert recovery["pool_restarts"] >= 1
-
-                health = client.health()
-                assert health["status"] == "degraded"
-                assert any("worker-pool" in c for c in health["causes"])
-
-            # Incidents age out of the degradation window.
-            st.server.degraded_window = 0.0
-            with ServeClient(socket_path=sock) as client:
-                assert client.health()["status"] == "ok"
 
     def test_health_degraded_when_store_is_memory_only(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -76,9 +73,9 @@ class TestHealth:
 
 
 class TestAdmissionControl:
-    def test_overloaded_rejection_carries_retry_after(self, tmp_path):
+    def test_overloaded_rejection_carries_retry_after(self, tmp_path, monkeypatch):
         sock = str(tmp_path / "serve.sock")
-        faults.install("solve-delay@*:1.0")
+        release = _hold_discharge(monkeypatch)
         with ServerThread(
             socket_path=sock, max_concurrent=1, max_queue=1
         ) as st:
@@ -88,9 +85,7 @@ class TestAdmissionControl:
             def blocker():
                 try:
                     with ServeClient(socket_path=sock) as c:
-                        c.verify(
-                            spec="svt", config={"backend": "process", "jobs": 1}
-                        )
+                        c.verify(spec="svt")
                 except Exception as err:  # surfaces in the main thread
                     errors.append(err)
                 finally:
@@ -99,10 +94,7 @@ class TestAdmissionControl:
             thread = threading.Thread(target=blocker)
             thread.start()
             try:
-                deadline = time.monotonic() + 10
-                while st.server._inflight == 0:
-                    assert time.monotonic() < deadline, "blocker never admitted"
-                    time.sleep(0.02)
+                _wait_for_admission(st.server)
                 with ServeClient(socket_path=sock, retries=0) as client:
                     with pytest.raises(ServeError) as excinfo:
                         client.verify(spec="noisy_max")
@@ -111,38 +103,45 @@ class TestAdmissionControl:
                 # The typed code is part of the protocol catalogue.
                 assert "overloaded" in protocol.ERROR_CODES
             finally:
+                release.set()
                 done.wait(60)
-                thread.join()
+                thread.join(60)
+            assert not thread.is_alive()
             assert not errors
             assert st.server.counters["overloaded"] >= 1
 
-    def test_client_retries_through_an_overloaded_window(self, tmp_path):
+    def test_client_retries_through_an_overloaded_window(self, tmp_path, monkeypatch):
         sock = str(tmp_path / "serve.sock")
-        faults.install("solve-delay@*:0.5")
-        with ServerThread(socket_path=sock, max_concurrent=1, max_queue=1):
+        release = _hold_discharge(monkeypatch)
+        with ServerThread(socket_path=sock, max_concurrent=1, max_queue=1) as st:
             done = threading.Event()
 
             def blocker():
                 try:
                     with ServeClient(socket_path=sock) as c:
-                        c.verify(
-                            spec="svt", config={"backend": "process", "jobs": 1}
-                        )
+                        c.verify(spec="svt")
                 finally:
                     done.set()
 
             thread = threading.Thread(target=blocker)
             thread.start()
+            # The blocker holds the only admission slot for 0.5 s.
+            timer = threading.Timer(0.5, release.set)
             try:
-                time.sleep(0.3)
+                _wait_for_admission(st.server)
+                timer.start()
                 with ServeClient(
                     socket_path=sock, retries=8, backoff=0.2
                 ) as client:
                     result = client.verify(spec="noisy_max")
                     assert result["outcome"]["verified"] is True
+                assert st.server.counters["overloaded"] >= 1
             finally:
+                timer.cancel()
+                release.set()
                 done.wait(60)
-                thread.join()
+                thread.join(60)
+            assert not thread.is_alive()
 
 
 class TestClientRetry:

@@ -71,6 +71,7 @@ def test_check_client_hello_accepts_current_protocol():
         {"type": "hello"},
         {"type": "hello", "protocol": protocol.PROTOCOL_VERSION + 1},
         {"type": "hello", "protocol": "1"},
+        {"type": "hello", "protocol": 1},  # the previous protocol
     ],
 )
 def test_check_client_hello_rejects_mismatch(message):
@@ -96,18 +97,12 @@ def test_config_from_wire_rationals_and_assumptions():
         {
             "bindings": {"eps": "1/2", "size": 5},
             "assumptions": ["eps > 0"],
-            "jobs": 4,
-            "backend": "threaded",
             "fail_fast": True,
         }
     )
     assert config.bindings == {"eps": Fraction(1, 2), "size": Fraction(5)}
     assert len(config.assumptions) == 1
-    assert config.jobs == 4
-    assert config.backend == "threaded"
     assert config.fail_fast is True
-    # The process backend is first-class on the wire too.
-    assert protocol.config_from_wire({"backend": "process"}).backend == "process"
 
 
 def test_config_from_wire_merges_over_base():
@@ -137,6 +132,14 @@ def test_config_from_wire_merges_over_base():
 def test_config_from_wire_rejects_bad_configs(data):
     with pytest.raises(protocol.ProtocolError):
         protocol.config_from_wire(data)
+
+
+@pytest.mark.parametrize("key, value", [("jobs", 2), ("backend", "serial")])
+def test_removed_discharge_keys_are_named_in_the_error(key, value):
+    with pytest.raises(protocol.ProtocolError) as err:
+        protocol.config_from_wire({key: value})
+    assert err.value.code == "bad-request"
+    assert key in str(err.value)
 
 
 # ---------------------------------------------------------------------------

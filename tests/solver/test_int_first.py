@@ -365,7 +365,7 @@ def registry_runs():
     solves in this process, in plan order, so the conflict logs are
     complete and ordered."""
     for spec in all_specs():
-        config = dataclasses.replace(spec_config(spec), witness=True, backend="serial")
+        config = dataclasses.replace(spec_config(spec), witness=True)
         yield spec, config
         if spec.expect_verified:
             yield spec, dataclasses.replace(config, mode="invariant", bindings={})

@@ -2,12 +2,12 @@
 
 A discharge run interrupted mid-plan (per-request timeout, server
 drain, Ctrl-C) must unwind *cleanly*: pushed solver scopes popped,
-single-flight query-cache acquisitions released (no deadlocked
-waiters), queued-but-unstarted work dropped — and the shared caches
-must remain fully usable afterwards.
+single-flight query-cache acquisitions released (serve's request
+threads share one cache, so a leaked flight would deadlock them), the
+rest of the plan never started — and the shared caches must remain
+fully usable afterwards.
 """
 
-import sys
 import threading
 
 import pytest
@@ -19,7 +19,6 @@ from repro.verify.discharge import (
     DischargeCancelled,
     DischargeEngine,
     DischargePlan,
-    DischargeWorkerError,
     EarlyExit,
     ObligationDischarged,
     UnitFinished,
@@ -67,7 +66,7 @@ class TestCancelEvent:
 
         with pytest.raises(DischargeCancelled):
             verify_target(
-                target, _config(config, cancel_event=cancel, backend="serial"),
+                target, _config(config, cancel_event=cancel),
                 cache=QueryCache(), on_event=sink,
             )
         exits = [e for e in events if isinstance(e, EarlyExit)]
@@ -77,7 +76,7 @@ class TestCancelEvent:
         assert [e.unit for e in events if isinstance(e, UnitFinished)][-1] == last
 
     def test_cancel_mid_sweep_releases_single_flight(self):
-        """The satellite regression: cancel a ThreadedBackend run midway.
+        """Cancel a run midway through its plan.
 
         After the cancellation no single-flight acquisition may remain
         pending (a leaked flight deadlocks every later identical query),
@@ -90,21 +89,17 @@ class TestCancelEvent:
         cache = QueryCache()
         cancel = threading.Event()
         events = []
-        lock = threading.Lock()
 
         def sink(event):
-            with lock:
-                events.append(event)
-                discharged = sum(
-                    1 for e in events if isinstance(e, ObligationDischarged)
-                )
+            events.append(event)
+            discharged = sum(1 for e in events if isinstance(e, ObligationDischarged))
             if discharged >= 3:
                 cancel.set()
 
         with pytest.raises(DischargeCancelled):
             verify_target(
                 target,
-                _config(config, cancel_event=cancel, backend="threaded", jobs=2),
+                _config(config, cancel_event=cancel),
                 cache=cache,
                 on_event=sink,
             )
@@ -127,12 +122,8 @@ class TestCancelEvent:
         assert cache.stats()["pending"] == 0
 
     def test_interrupt_mid_collection_drops_queued_units(self, monkeypatch):
-        """KeyboardInterrupt in a worker must not run the rest of the plan.
-
-        Before the fix, ThreadedBackend's executor shutdown waited for
-        every queued unit — an interrupt mid-plan silently verified the
-        whole program before propagating.
-        """
+        """KeyboardInterrupt in a unit must not run the rest of the plan,
+        and must leave no single flight pending."""
         target, config = _svt()
         plan = DischargePlan.from_obligations(iter_obligations(target, config))
         assert len(plan.units) > 2
@@ -147,135 +138,14 @@ class TestCancelEvent:
         monkeypatch.setattr(DischargeEngine, "discharge_unit", exploding)
         cache = QueryCache()
         with pytest.raises(KeyboardInterrupt):
-            verify_target(
-                target,
-                _config(config, backend="threaded", jobs=1),
-                cache=cache,
-            )
-        # One worker raised; the queued remainder was cancelled, not run.
+            verify_target(target, config, cache=cache)
+        # The first unit raised; the rest of the plan never started.
         assert len(calls) == 1
         assert cache.stats()["pending"] == 0
 
         monkeypatch.setattr(DischargeEngine, "discharge_unit", original)
         outcome = verify_target(target, config, cache=cache)
         assert outcome.verified is True
-
-    def test_no_worker_starts_a_unit_after_a_failure(self, monkeypatch):
-        """More workers than cores, a tiny switch interval, every unit
-        failing: once a unit raised, a worker that dequeues another unit
-        drops it, so each worker starts at most one unit."""
-        target, config = _svt()
-        plan = DischargePlan.from_obligations(iter_obligations(target, config))
-        jobs = 3
-        assert len(plan.units) > jobs
-
-        calls = []
-
-        def failing(self, unit, *args, **kwargs):
-            calls.append(unit.uid)
-            raise ValueError("unit failed")
-
-        monkeypatch.setattr(DischargeEngine, "discharge_unit", failing)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                calls.clear()
-                with pytest.raises(DischargeWorkerError):
-                    verify_target(
-                        target, _config(config, backend="threaded", jobs=jobs),
-                        cache=QueryCache(),
-                    )
-                assert len(calls) <= jobs
-        finally:
-            sys.setswitchinterval(interval)
-
-
-class TestProcessBackendCancellation:
-    def test_cancel_mid_replay_drops_pending_workers(self):
-        """Cancel a ProcessPoolBackend run midway through its replay.
-
-        The parent's in-order replay re-checks the cancel event at every
-        unit; observing it must cancel the not-yet-replayed worker
-        futures, emit exactly one early-exit event, and leave the shared
-        query cache fully serviceable.
-        """
-        target, config = _svt()
-        plan = DischargePlan.from_obligations(iter_obligations(target, config))
-        assert len(plan.units) > 2
-
-        cache = QueryCache()
-        cancel = threading.Event()
-        events = []
-
-        def sink(event):
-            events.append(event)
-            discharged = sum(1 for e in events if isinstance(e, ObligationDischarged))
-            if discharged >= 3:
-                cancel.set()
-
-        with pytest.raises(DischargeCancelled):
-            verify_target(
-                target,
-                _config(config, cancel_event=cancel, backend="process", jobs=2),
-                cache=cache,
-                on_event=sink,
-            )
-
-        assert cache.stats()["pending"] == 0
-        exits = [e for e in events if isinstance(e, EarlyExit)]
-        assert len(exits) == 1
-        assert exits[0].reason == "cancelled"
-        verdicts = sum(1 for e in events if isinstance(e, ObligationDischarged))
-        assert verdicts < len(plan.obligations)
-
-        outcome = verify_target(target, config, cache=cache)
-        assert outcome.verified is True
-        assert cache.stats()["pending"] == 0
-
-    def test_worker_interrupt_drops_queued_units(self, monkeypatch, tmp_path):
-        """KeyboardInterrupt in a worker process must not run the rest
-        of the plan.
-
-        Mirrors the ThreadedBackend regression: without the
-        BaseException handler cancelling pending futures, pool shutdown
-        would feed every queued unit to the workers before the
-        exception could propagate.  Workers are forked after the patch,
-        so they inherit the exploding discharge; each records its unit
-        in a file the parent can read back.
-        """
-        spec = get("bad_svt_no_budget")  # 7 units: room for a "remainder"
-        target, config = spec.target(), spec_config(spec)
-        plan = DischargePlan.from_obligations(iter_obligations(target, config))
-        assert len(plan.units) >= 5
-
-        witness = tmp_path / "units-started.log"
-
-        def exploding(self, unit, *args, **kwargs):
-            import time
-
-            with open(witness, "a") as fh:
-                fh.write(unit.uid + "\n")
-            time.sleep(0.05)  # let the parent observe the first failure
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(DischargeEngine, "discharge_unit", exploding)
-        cache = QueryCache()
-        with pytest.raises(KeyboardInterrupt):
-            verify_target(
-                target,
-                _config(config, backend="process", jobs=1),
-                cache=cache,
-            )
-        # The worker raised on an early unit; the queued remainder was
-        # cancelled, not run.
-        started = witness.read_text().splitlines()
-        assert 1 <= len(started) < len(plan.units)
-        assert cache.stats()["pending"] == 0
-
-        monkeypatch.undo()
-        outcome = verify_target(target, config, cache=cache)
-        assert outcome.verified is False  # the buggy spec's honest verdict
 
 
 class TestPipelineCancellation:
@@ -317,7 +187,7 @@ class TestOneShotBackendCancellation:
         of a unit, not just at unit boundaries — a cancellation arriving
         mid-unit must stop after the in-flight obligation."""
         target, config = _svt()
-        config = _config(config, incremental=False, backend="oneshot")
+        config = _config(config, incremental=False)
         plan = DischargePlan.from_obligations(iter_obligations(target, config))
         total = len(plan.obligations)
         assert total > 3

@@ -2,13 +2,14 @@
 
 Covers: stable content-derived obligation ids (with snapshots pinned
 over registry programs), provenance records, discharge-plan
-partitioning, the backend-equivalence property (serial vs threaded for
-jobs ∈ {1, 2, 4} and the one-shot strategy produce identical verdicts,
-obligation ids and solve counts across the registry), the single-flight
-query cache that makes those counters deterministic, the typed event
-stream, fail-fast early exit, and the constant-guard folding pass.
+partitioning, strategy equivalence (the serial and one-shot strategies
+give identical verdicts and obligation ids across the registry), the
+single-flight query cache shared by concurrent serve requests, the
+typed event stream, fail-fast early exit, and the constant-guard
+folding pass.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -20,20 +21,14 @@ from repro.lang.parser import parse_command
 from repro.pipeline import spec_config
 from repro.solver.context import CacheEntry, QueryCache
 from repro.verify.discharge import (
-    CachedBackend,
     DischargePlan,
     EarlyExit,
     ObligationDischarged,
     ObligationRefuted,
-    OneShotBackend,
     PlanProgress,
-    SerialBackend,
-    ThreadedBackend,
     UnitFinished,
     UnitStarted,
-    effective_jobs,
     event_kind,
-    resolve_backend,
 )
 from repro.verify.vcgen import VCGenerator
 from repro.verify.verifier import (
@@ -187,83 +182,56 @@ class TestDischargePlan:
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence: the headline property
+# Strategy equivalence
 # ---------------------------------------------------------------------------
 
 
-def _signature(outcome):
+def _verdicts(outcome):
     return (
         outcome.verified,
         sorted(f.obligation.oid for f in outcome.failures),
-        outcome.obligations_total,
-        outcome.solver_queries,
-        outcome.cache_hits,
-        outcome.solve_calls,
-        outcome.units,
+        outcome.oids,
     )
 
 
 class TestBackendEquivalence:
-    """Serial and threaded (jobs ∈ {1, 2, 4}) discharge produce identical
-    verdicts, obligation ids, solve counts and cache hits — the
-    deterministic-parallelism requirement, over the full registry."""
+    """The serial (incremental) and one-shot strategies agree on
+    verdicts, failing obligations and obligation ids over the registry,
+    and a query cache handed to ``verify_target`` spans runs."""
+
+    @staticmethod
+    def _agree(target, config):
+        serial = verify_target(target, config)
+        oneshot = verify_target(target, dataclasses.replace(config, incremental=False))
+        assert (serial.backend, oneshot.backend) == ("serial", "oneshot")
+        assert _verdicts(oneshot) == _verdicts(serial)
+        return serial
 
     @pytest.mark.parametrize("name", [s.name for s in all_specs(include_buggy=False)])
     def test_invariant_regime_full_registry(self, name):
         spec = get(name)
         config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
-        reference = None
-        for backend in (SerialBackend(), ThreadedBackend(1), ThreadedBackend(2), ThreadedBackend(4)):
-            outcome = verify_target(
-                spec.target(),
-                VerificationConfig(
-                    mode=config.mode,
-                    assumptions=config.assumptions,
-                    backend=backend,
-                ),
-            )
-            signature = _signature(outcome)
-            if reference is None:
-                reference = signature
-            assert signature == reference, f"{name}: {backend.name} diverged"
+        assert self._agree(spec.target(), config).verified
 
     @pytest.mark.parametrize("name", ["svt", "bad_svt_no_budget"])
     def test_unroll_regime(self, name):
         spec = get(name)
         bindings = dict(spec.fixed_bindings)
         bindings["size"] = 3
-        reference = None
-        for jobs in (1, 2, 4):
-            outcome = verify_target(
-                spec.target(),
-                VerificationConfig(
-                    mode="unroll",
-                    bindings=bindings,
-                    assumptions=spec.assumption_exprs(),
-                    unroll_limit=16,
-                    jobs=jobs,
-                    backend="threaded" if jobs > 1 else "serial",
-                ),
-            )
-            signature = _signature(outcome)
-            if reference is None:
-                reference = signature
-            assert signature == reference, f"{name}: jobs={jobs} diverged"
-        assert (name == "svt") == reference[0]
+        config = VerificationConfig(
+            mode="unroll",
+            bindings=bindings,
+            assumptions=spec.assumption_exprs(),
+            unroll_limit=16,
+        )
+        assert self._agree(spec.target(), config).verified == (name == "svt")
 
     def test_oneshot_agrees_on_verdicts(self):
         spec = get("bad_svt_no_budget")
         config = spec_config(spec)
         serial = verify_target(spec.target(), config)
         oneshot = verify_target(
-            spec.target(),
-            VerificationConfig(
-                mode=config.mode,
-                bindings=config.bindings,
-                assumptions=config.assumptions,
-                unroll_limit=config.unroll_limit,
-                backend=OneShotBackend(),
-            ),
+            spec.target(), dataclasses.replace(config, incremental=False)
         )
         assert oneshot.backend == "oneshot"
         assert serial.verified == oneshot.verified
@@ -271,45 +239,13 @@ class TestBackendEquivalence:
             f.obligation.oid for f in oneshot.failures
         )
 
-    def test_resolve_backend_from_legacy_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_VERIFY_BACKEND", raising=False)
-        assert resolve_backend(True, 1).name == "serial"
-        assert resolve_backend(True, 4).name == "threaded"
-        assert resolve_backend(False, 1).name == "oneshot"
-        assert resolve_backend(True, 1, "threaded").name == "threaded"
-        with pytest.raises(ValueError):
-            resolve_backend(True, 1, "quantum")
-
-    def test_jobs_env_var_raises_default_parallelism(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_JOBS", "2")
-        monkeypatch.delenv("REPRO_VERIFY_BACKEND", raising=False)
-        assert resolve_backend(True, 1).name == "threaded"
-        assert effective_jobs(resolve_backend(True, 1)) == 2
-        # Explicit choices and explicit job counts are not overridden.
-        assert resolve_backend(True, 1, "serial").name == "serial"
-        assert resolve_backend(False, 1).name == "oneshot"
-
-    def test_effective_jobs_unwraps_cached_backend(self):
-        assert effective_jobs(SerialBackend()) == 1
-        assert effective_jobs(ThreadedBackend(4)) == 4
-        assert effective_jobs(CachedBackend(ThreadedBackend(4))) == 4
-        assert effective_jobs(CachedBackend(OneShotBackend())) == 1
-
     def test_cached_backend_shares_cache_across_runs(self):
         spec = get("svt")
-        base = spec_config(spec)
-        config = VerificationConfig(
-            mode=base.mode,
-            bindings=base.bindings,
-            assumptions=base.assumptions,
-            unroll_limit=base.unroll_limit,
-            backend="serial",  # pinned: REPRO_VERIFY_JOBS must not retarget this
-        )
+        config = spec_config(spec)
         cache = QueryCache()
         first = verify_target(spec.target(), config, cache=cache)
         second = verify_target(spec.target(), config, cache=cache)
-        assert first.backend == "cached+serial" == second.backend
+        assert first.backend == "serial" == second.backend
         assert first.verified and second.verified
         assert first.solve_calls > 0
         # Every query of the second run is answered from the first run's
@@ -317,25 +253,9 @@ class TestBackendEquivalence:
         assert second.solve_calls == 0
         assert second.cache_hits == second.solver_queries
 
-    def test_outcome_reports_effective_jobs(self):
-        spec = get("svt")
-        config = spec_config(spec)
-        outcome = verify_target(
-            spec.target(),
-            VerificationConfig(
-                mode=config.mode,
-                bindings=config.bindings,
-                assumptions=config.assumptions,
-                unroll_limit=config.unroll_limit,
-                backend=ThreadedBackend(3),
-            ),
-        )
-        assert outcome.backend == "threaded"
-        assert outcome.jobs == 3
-
 
 # ---------------------------------------------------------------------------
-# Single-flight cache: the determinism lever
+# Single-flight cache: shared by serve's concurrent requests
 # ---------------------------------------------------------------------------
 
 

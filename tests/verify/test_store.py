@@ -321,7 +321,7 @@ class TestLastUsed:
         assert warm.store["busy_retries"] == 1
         assert store.degraded is False
         assert faults.active().snapshot() == [
-            ("store-busy", str(cold.obligations_total + 1), "")
+            ("store-busy", str(cold.obligations_total + 1))
         ]
         assert min(_last_used(path).values()) > 0
 

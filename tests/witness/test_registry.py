@@ -4,7 +4,6 @@
   are identical with witnesses on and off, in both regimes;
 * every valid obligation of every Table-1 algorithm yields a
   certificate, and every certificate passes the trusted validator;
-* the contract holds off the serial path too (process backend);
 * what the store keeps of each certificate is its proof core: a
   kernel-checked, idempotent cut of the emitted events, atoms restricted
   to what they mention; a certificate the backward check cannot
@@ -95,13 +94,6 @@ class TestEveryCertificateValidates:
         assert set(checker.certificates) == oids
         for certificate in checker.certificates.values():
             validate(certificate)
-
-    def test_process_backend_matches_serial(self):
-        spec = get("svt")
-        serial = _run(spec, witness=True)
-        process = _run(spec, witness=True, backend="process", jobs=2)
-        assert process.verified
-        assert process.witnesses == serial.witnesses == serial.obligations_total
 
 
 @pytest.fixture(scope="module")
