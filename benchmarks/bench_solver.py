@@ -51,6 +51,7 @@ import dataclasses
 import json
 import os
 import random
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -457,13 +458,16 @@ def run_witness(names: List[str]) -> Dict:
     Emission must be observationally free (identical query/hit/solve
     counters with witnesses on and off) and near-free in wall clock —
     the guard bounds the on/off delta at
-    :data:`WITNESS_OVERHEAD_LIMIT`.  Plain and witnessed sweeps
-    alternate, five of each, and each side takes its fastest: a burst
-    of host load then slows a sweep of each kind, not one side's whole
-    set, so sub-second timing noise doesn't trip the bound.  The
-    revalidation figure is the point of the subsystem: re-checking a
-    stored sweep with the trusted kernel costs milliseconds, not
-    solves.
+    :data:`WITNESS_OVERHEAD_LIMIT`.  Each of :data:`WITNESS_ROUNDS`
+    rounds runs one plain and one witnessed sweep back to back,
+    alternating which goes first, and the overhead is the median of
+    the per-round witnessed/plain ratios: a burst of host load or a
+    drift within the process then moves both sweeps of a round, and
+    one slow round moves the median little.  Every round's two sweeps
+    must report identical counters.  ``rounds`` keeps each round's
+    (plain, witnessed) seconds.  The revalidation figure is the point
+    of the subsystem: re-checking a stored sweep with the trusted
+    kernel costs milliseconds, not solves.
     """
     import sqlite3
     import tempfile
@@ -490,27 +494,38 @@ def run_witness(names: List[str]) -> Dict:
             "cache_hits": hits,
             "solve_calls": solves,
             "certificates": certificates,
-            "seconds": round(time.perf_counter() - start, 3),
+            "seconds": time.perf_counter() - start,
         }
 
-    plain_runs, witnessed_runs = [], []
-    for _ in range(WITNESS_SWEEPS):
-        plain_runs.append(sweep(False))
-        witnessed_runs.append(sweep(True))
+    rounds = []
+    for index in range(WITNESS_ROUNDS):
+        order = (False, True) if index % 2 == 0 else (True, False)
+        sweeps = {witness: sweep(witness) for witness in order}
+        rounds.append((sweeps[False], sweeps[True]))
+
+    def median_row(rows: List[Dict]) -> Dict:
+        return dict(rows[0], seconds=round(statistics.median(r["seconds"] for r in rows), 3))
 
     out: Dict = {
-        "plain": min(plain_runs, key=lambda row: row["seconds"]),
-        "witnessed": min(witnessed_runs, key=lambda row: row["seconds"]),
+        "plain": median_row([plain for plain, _ in rounds]),
+        "witnessed": median_row([witnessed for _, witnessed in rounds]),
+        "rounds": [
+            [round(plain["seconds"], 4), round(witnessed["seconds"], 4)]
+            for plain, witnessed in rounds
+        ],
     }
-    plain, witnessed = out["plain"], out["witnessed"]
     out["identical_counters"] = all(
         plain[key] == witnessed[key]
+        for plain, witnessed in rounds
         for key in ("queries", "cache_hits", "solve_calls")
     )
-    out["emission_overhead"] = (
-        round(witnessed["seconds"] / plain["seconds"] - 1, 3)
+    ratios = [
+        witnessed["seconds"] / plain["seconds"]
+        for plain, witnessed in rounds
         if plain["seconds"] > 0
-        else None
+    ]
+    out["emission_overhead"] = (
+        round(statistics.median(ratios) - 1, 3) if ratios else None
     )
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -662,12 +677,13 @@ HARD_COUNTERS = ("rounds", "pivots")
 GUARD_TOLERANCE = 0.20
 
 #: Allowed wall-clock cost of proof-certificate emission on the quick
-#: sweep (fastest of alternating on/off runs; the counters must match
-#: exactly).
+#: sweep (median of the per-round witnessed/plain ratios; the counters
+#: must match exactly).
 WITNESS_OVERHEAD_LIMIT = 0.10
 
-#: Sweeps of each kind, alternating, that :func:`run_witness` times.
-WITNESS_SWEEPS = 5
+#: Rounds of one plain and one witnessed sweep that :func:`run_witness`
+#: times.
+WITNESS_ROUNDS = 20
 
 #: Counters the guard additionally checks for **exact** equality against
 #: the committed ``serial_reference``: the serial backend is required to

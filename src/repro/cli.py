@@ -238,7 +238,10 @@ def cmd_check(args) -> int:
     run = Pipeline().run(_read_source(args.file), stop_after="check")
     checked = run.checked
     mode = "aligned-only (LightDP fragment)" if checked.aligned_only else "shadow execution"
-    print(f"{run.name}: type checks [{mode}; {checked.solver_queries} solver queries]")
+    print(
+        f"{run.name}: type checks [{mode}; {checked.solver_queries} solver queries, "
+        f"{checked.solve_calls} solves]"
+    )
     return 0
 
 

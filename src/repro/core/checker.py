@@ -22,6 +22,16 @@ to LightDP exactly as Section 7 describes.  This is also what lets
 Numerical SVT sample inside a branch (its Fig. 10 annotations are all
 ``°``): rule (T-Laplace) requires ``pc = ⊥``, which aligned-only mode
 preserves across branches.
+
+Rule (T-Laplace) asks the solver whether the alignment ``η ↦ η + n``
+is injective.  When ``n`` does not mention ``η`` (substituting ``η``
+leaves it unchanged) the map is a translation, which is always
+injective, so the checker asks nothing; only alignments that mention
+``η`` reach the solver.  The remaining questions go through the query
+cache the caller passes (:class:`~repro.pipeline.Pipeline` passes its
+own, so an answer found for one program or annotation candidate serves
+the next), each under the boolean variables of the environment at the
+program point that asks.
 """
 
 from __future__ import annotations
@@ -35,13 +45,14 @@ from repro.core.errors import ShadowDPTypeError
 from repro.core.expr_rules import ExprTyper
 from repro.core.instrumentation import PC_HIGH, PC_LOW, transition_commands
 from repro.core.shadow import shadow_command, versioned_expr
-from repro.core.simplify import is_zero, simplify, simplify_under
+from repro.core.simplify import is_zero, simplifier_under, simplify, simplify_under
 from repro.ir import CFGWalker, ast_to_cfg, statement_kind
 from repro.ir.build import region_to_ast
 from repro.ir.cfg import CFG, Block, Branch, LoopHeader
 from repro.ir.passes import selector_conditions
 from repro.lang import ast
 from repro.lang.pretty import pretty_expr
+from repro.solver.context import QueryCache
 from repro.solver.interface import ValidityChecker
 
 _MAX_FIXPOINT_ITERATIONS = 20
@@ -62,6 +73,7 @@ class CheckedProgram:
     aligned_only: bool
     solver_queries: int = 0
     solver_cache_hits: int = 0
+    solve_calls: int = 0
 
     @property
     def name(self) -> str:
@@ -93,12 +105,20 @@ class TypeChecker(CFGWalker):
     statement plus the updated environment), ``on_branch`` implements
     rule T-If at the CFG join, and ``on_loop`` implements T-While's
     fixpoint over the loop's body sub-CFG.
+
+    Solver questions go through ``cache`` when one is given (the
+    pipeline passes its query cache), else through a private one.
     """
 
-    def __init__(self, function: ast.FunctionDef, lightdp_mode: bool = False) -> None:
+    def __init__(
+        self,
+        function: ast.FunctionDef,
+        lightdp_mode: bool = False,
+        cache: Optional[QueryCache] = None,
+    ) -> None:
         self.function = function
         self.psi = function.precondition
-        self.validity = ValidityChecker()
+        self.validity = ValidityChecker(cache=cache)
         self.lightdp_mode = lightdp_mode
         self.cfg = ast_to_cfg(function.body)
         self.aligned_only = not uses_shadow_selector(self.cfg)
@@ -127,6 +147,7 @@ class TypeChecker(CFGWalker):
             aligned_only=self.aligned_only,
             solver_queries=self.validity.queries,
             solver_cache_hits=self.validity.cache_hits,
+            solve_calls=self.validity.solve_calls,
         )
 
     # -- helpers -------------------------------------------------------------------
@@ -137,13 +158,15 @@ class TypeChecker(CFGWalker):
     def _premises(self, *queries: ast.Expr) -> List[ast.Expr]:
         return preconditions.instantiate(self.psi, queries)
 
-    def _provably(self, goal: ast.Expr) -> bool:
+    def _provably(self, goal: ast.Expr, env: TypeEnv) -> bool:
+        """Ψ ⊨ ``goal``, with the boolean variables of ``env``, the
+        environment at the program point that asks."""
         goal = simplify(goal)
         if goal == ast.TRUE:
             return True
         if goal == ast.FALSE:
             return False
-        return self.validity.is_valid(goal, self._premises(goal))
+        return self.validity.is_valid(goal, self._premises(goal), env.bool_vars())
 
     # -- the dataflow pass ---------------------------------------------------------
 
@@ -240,14 +263,16 @@ class TypeChecker(CFGWalker):
             typer.check_boolean(head)
         else:
             aligned, shadow = typer.distances(head)
-            self._require_distance(aligned, entry.aligned, cmd, "aligned")
-            self._require_distance(shadow, entry.shadow, cmd, "shadow")
+            self._require_distance(aligned, entry.aligned, cmd, "aligned", env)
+            self._require_distance(shadow, entry.shadow, cmd, "shadow", env)
         # Element distances are invariant, so the environment is unchanged;
         # list values carry no scalar shadow distance (see shadow.py), so
         # no high-pc instrumentation is needed either.
         return cmd, env
 
-    def _require_distance(self, actual: ast.Expr, declared: ast.Distance, cmd: ast.Assign, which: str) -> None:
+    def _require_distance(
+        self, actual: ast.Expr, declared: ast.Distance, cmd: ast.Assign, which: str, env: TypeEnv
+    ) -> None:
         if ast.is_star(declared):
             # A starred/don't-care element distance places no constraint
             # on appended heads (paper return types like list num⟨0,−⟩).
@@ -255,7 +280,7 @@ class TypeChecker(CFGWalker):
         goal = ast.BinOp("==", actual, declared)
         if self.lenient:
             return
-        if not self._provably(goal):
+        if not self._provably(goal, env):
             raise ShadowDPTypeError(
                 f"in `{cmd.name} := {pretty_expr(cmd.expr)}`: head has {which} "
                 f"distance {pretty_expr(actual)}, list elements require "
@@ -276,7 +301,7 @@ class TypeChecker(CFGWalker):
             # shadow version.
             shadow_value = versioned_expr(cmd.expr, env, ast.SHADOW)
             if simplify(cmd.expr) != shadow_value and not self._provably(
-                ast.BinOp("==", cmd.expr, shadow_value)
+                ast.BinOp("==", cmd.expr, shadow_value), env
             ):
                 raise ShadowDPTypeError(
                     f"boolean {cmd.name!r} assigned under diverged shadow "
@@ -430,8 +455,14 @@ class TypeChecker(CFGWalker):
         return ast.seq(*freeze, cmd), new_env
 
     def _check_injectivity(self, cmd: ast.Sample, env: TypeEnv) -> None:
+        if self.lenient:
+            return
         eta = ast.Var(cmd.name)
         eta1, eta2 = ast.Var(f"{cmd.name}%1"), ast.Var(f"{cmd.name}%2")
+        if ast.substitute(cmd.align, {eta: eta1}) == cmd.align:
+            # The alignment does not mention η, so η ↦ η + n is a
+            # translation: injective without asking the solver.
+            return
         aligned_sample = ast.BinOp("+", eta, cmd.align)
         lhs = ast.substitute(aligned_sample, {eta: eta1})
         rhs = ast.substitute(aligned_sample, {eta: eta2})
@@ -440,9 +471,7 @@ class TypeChecker(CFGWalker):
             ast.BinOp("!=", lhs, rhs),
             ast.BinOp("==", eta1, eta2),
         )
-        if self.lenient:
-            return
-        if not self._provably(goal):
+        if not self._provably(goal, env):
             raise ShadowDPTypeError(
                 f"alignment {pretty_expr(cmd.align)} for {cmd.name!r} is not "
                 f"injective (rule T-Laplace)",
@@ -465,7 +494,7 @@ class TypeChecker(CFGWalker):
                 ast.Index(ast.Hat(name, ast.SHADOW), k),
             )
             premises = preconditions.instantiate(self.psi, [goal], extra_indices=[k])
-            if not self.validity.is_valid(goal, premises):
+            if not self.validity.is_valid(goal, premises, env.bool_vars()):
                 raise ShadowDPTypeError(
                     f"shadow selector used but Ψ does not pin {name}^o = {name}^s",
                     reason="list-shadow-mismatch",
@@ -485,7 +514,7 @@ class TypeChecker(CFGWalker):
             return PC_LOW
         goal = ast.BinOp("==", cond, shadow_cond)
         premises = self._premises(goal)
-        if self.validity.is_valid(goal, premises):
+        if self.validity.is_valid(goal, premises, env.bool_vars()):
             return PC_LOW
         return PC_HIGH
 
@@ -494,8 +523,8 @@ class TypeChecker(CFGWalker):
         pc_inner = self._update_pc(pc, env, term.cond)
         aligned_cond = versioned_expr(term.cond, env, ast.ALIGNED)
 
-        env_then = env.map_distances(lambda d: simplify_under(d, term.cond, True))
-        env_else = env.map_distances(lambda d: simplify_under(d, term.cond, False))
+        env_then = env.map_distances(simplifier_under(term.cond, True))
+        env_else = env.map_distances(simplifier_under(term.cond, False))
         then_checked, env1 = self._check_region(cfg, term.then, join, env_then, pc_inner)
         if term.orelse == join:
             else_checked, env2 = ast.Skip(), env_else
@@ -555,11 +584,12 @@ class TypeChecker(CFGWalker):
         # Fixpoint construction of Section 4.3.1: iterate the body until
         # the joined environment stabilises (lattice height 2 ⇒ fast).
         loop_env = env
+        in_body = simplifier_under(term.cond, True)
         was_lenient = self.lenient
         self.lenient = True
         try:
             for _ in range(_MAX_FIXPOINT_ITERATIONS):
-                body_in = loop_env.map_distances(lambda d: simplify_under(d, term.cond, True))
+                body_in = loop_env.map_distances(in_body)
                 _, body_env = self._check_region(body_cfg, body_cfg.entry, None, body_in, pc_inner)
                 joined = body_env.join(env)
                 if joined == loop_env:
@@ -573,7 +603,7 @@ class TypeChecker(CFGWalker):
             self.lenient = was_lenient
         # Strict pass over the stabilised environment: this is the run
         # whose solver checks count and whose output is emitted.
-        body_in = loop_env.map_distances(lambda d: simplify_under(d, term.cond, True))
+        body_in = loop_env.map_distances(in_body)
         body_checked, body_env = self._check_region(body_cfg, body_cfg.entry, None, body_in, pc_inner)
 
         entry_fix = transition_commands(env_entry, loop_env, pc_inner)
@@ -639,7 +669,7 @@ class TypeChecker(CFGWalker):
             typer.check_boolean(expr)
             return cmd, env
         aligned, _shadow = typer.distances(expr)
-        if not is_zero(aligned) and not self._provably(ast.BinOp("==", aligned, ast.ZERO)):
+        if not is_zero(aligned) and not self._provably(ast.BinOp("==", aligned, ast.ZERO), env):
             raise ShadowDPTypeError(
                 f"returned expression {pretty_expr(expr)} has aligned distance "
                 f"{pretty_expr(aligned)}, expected 0 (rule T-Return)",
@@ -648,6 +678,14 @@ class TypeChecker(CFGWalker):
         return cmd, env
 
 
-def check_function(function: ast.FunctionDef, lightdp_mode: bool = False) -> CheckedProgram:
-    """Type check ``function`` and produce its instrumented body."""
-    return TypeChecker(function, lightdp_mode=lightdp_mode).check()
+def check_function(
+    function: ast.FunctionDef,
+    lightdp_mode: bool = False,
+    cache: Optional[QueryCache] = None,
+) -> CheckedProgram:
+    """Type check ``function`` and produce its instrumented body.
+
+    ``cache`` is the query cache the solver questions go through (a
+    private one when None); see :class:`TypeChecker`.
+    """
+    return TypeChecker(function, lightdp_mode=lightdp_mode, cache=cache).check()

@@ -207,13 +207,21 @@ class TypeEnv:
     # -- transformations ------------------------------------------------------------
 
     def map_distances(self, fn) -> "TypeEnv":
-        """Apply ``fn(expr) -> expr`` to every non-star distance."""
+        """Apply ``fn(expr) -> expr`` to every non-star distance.
+
+        An entry whose distances come back as the very same objects is
+        kept, and so is the whole environment when no entry changed.
+        """
         entries = {}
+        changed = False
         for name, entry in self._entries.items():
             aligned = entry.aligned if ast.is_star(entry.aligned) else simplify(fn(entry.aligned))
             shadow = entry.shadow if ast.is_star(entry.shadow) else simplify(fn(entry.shadow))
-            entries[name] = replace(entry, aligned=aligned, shadow=shadow)
-        return TypeEnv(entries)
+            if aligned is not entry.aligned or shadow is not entry.shadow:
+                entry = replace(entry, aligned=aligned, shadow=shadow)
+                changed = True
+            entries[name] = entry
+        return TypeEnv(entries) if changed else self
 
 
 def env_from_function(function: ast.FunctionDef) -> TypeEnv:

@@ -29,7 +29,6 @@ class ExprTyper:
         self.env = env
         self.psi = psi
         self.validity = validity
-        self.validity.bool_vars = set(env.bool_vars())
 
     # -- numeric expressions ---------------------------------------------------
 
@@ -175,7 +174,7 @@ class ExprTyper:
         )
         goal = ast.BinOp("&&", ast.BinOp("==", base, aligned), ast.BinOp("==", base, shadow))
         premises = preconditions.instantiate(self.psi, [goal])
-        if not self.validity.is_valid(goal, premises):
+        if not self.validity.is_valid(goal, premises, self.env.bool_vars()):
             raise ShadowDPTypeError(
                 f"comparison {pretty_expr(expr)} may differ between executions "
                 f"(T-ODot constraint not valid)",

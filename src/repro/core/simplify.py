@@ -20,7 +20,7 @@ guarantees for ``r``; ShadowDP programs never divide by zero on purpose).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.lang import ast
 
@@ -79,40 +79,65 @@ def simplify_under(expr: ast.Expr, assumption: ast.Expr, truth: bool) -> ast.Exp
     sound because the checker only applies it inside the corresponding
     branch.
     """
+    return simplifier_under(assumption, truth)(expr)
+
+
+def simplifier_under(assumption: ast.Expr, truth: bool) -> Callable[[ast.Expr], ast.Expr]:
+    """:func:`simplify_under` with the assumption fixed: the replacement
+    map is built once, and the returned function can rewrite every
+    distance of an environment entering a branch.  An expression in
+    which the assumption does not occur comes back as its simplified
+    form, the very object :func:`simplify` returns.
+    """
     assumption = simplify(assumption)
     mapping = {
         assumption: ast.BoolLit(truth),
         _not(assumption): ast.BoolLit(not truth),
     }
-    replaced = _replace_bool(simplify(expr), mapping)
-    return simplify(replaced)
+
+    def rewrite(expr: ast.Expr) -> ast.Expr:
+        simplified = simplify(expr)
+        replaced = _replace_bool(simplified, mapping)
+        return simplified if replaced is simplified else simplify(replaced)
+
+    return rewrite
 
 
 def _replace_bool(expr: ast.Expr, mapping: Mapping[ast.Expr, ast.Expr]) -> ast.Expr:
-    if expr in mapping:
-        return mapping[expr]
+    """``expr`` with ``mapping`` applied to its sub-expressions; ``expr``
+    itself when nothing was replaced."""
+    replacement = mapping.get(expr)
+    if replacement is not None:
+        return replacement
     if isinstance(expr, (ast.Real, ast.BoolLit, ast.Var, ast.Hat)):
         return expr
-    if isinstance(expr, ast.Neg):
-        return ast.Neg(_replace_bool(expr.operand, mapping))
-    if isinstance(expr, ast.Not):
-        return ast.Not(_replace_bool(expr.operand, mapping))
-    if isinstance(expr, ast.Abs):
-        return ast.Abs(_replace_bool(expr.operand, mapping))
+    if isinstance(expr, (ast.Neg, ast.Not, ast.Abs)):
+        operand = _replace_bool(expr.operand, mapping)
+        return expr if operand is expr.operand else type(expr)(operand)
     if isinstance(expr, ast.BinOp):
-        return ast.BinOp(expr.op, _replace_bool(expr.left, mapping), _replace_bool(expr.right, mapping))
+        left = _replace_bool(expr.left, mapping)
+        right = _replace_bool(expr.right, mapping)
+        if left is expr.left and right is expr.right:
+            return expr
+        return ast.BinOp(expr.op, left, right)
     if isinstance(expr, ast.Ternary):
-        return ast.Ternary(
-            _replace_bool(expr.cond, mapping),
-            _replace_bool(expr.then, mapping),
-            _replace_bool(expr.orelse, mapping),
-        )
+        cond = _replace_bool(expr.cond, mapping)
+        then = _replace_bool(expr.then, mapping)
+        orelse = _replace_bool(expr.orelse, mapping)
+        if cond is expr.cond and then is expr.then and orelse is expr.orelse:
+            return expr
+        return ast.Ternary(cond, then, orelse)
     if isinstance(expr, ast.Cons):
-        return ast.Cons(_replace_bool(expr.head, mapping), _replace_bool(expr.tail, mapping))
+        head = _replace_bool(expr.head, mapping)
+        tail = _replace_bool(expr.tail, mapping)
+        return expr if head is expr.head and tail is expr.tail else ast.Cons(head, tail)
     if isinstance(expr, ast.Index):
-        return ast.Index(_replace_bool(expr.base, mapping), _replace_bool(expr.index, mapping))
+        base = _replace_bool(expr.base, mapping)
+        index = _replace_bool(expr.index, mapping)
+        return expr if base is expr.base and index is expr.index else ast.Index(base, index)
     if isinstance(expr, ast.ForAll):
-        return ast.ForAll(expr.var, _replace_bool(expr.body, mapping))
+        body = _replace_bool(expr.body, mapping)
+        return expr if body is expr.body else ast.ForAll(expr.var, body)
     raise TypeError(f"_replace_bool: unknown node {expr!r}")
 
 

@@ -75,7 +75,8 @@ class StageResult:
     the solver) and ``solver_cache_hits`` how many of those were answered
     from the shared query cache.  ``solver_stats`` carries the full
     incremental-solver counter set (solve calls, context pushes/pops,
-    discharge strategy and units) for stages that report it.
+    discharge strategy and units) for ``verify``; for ``check`` it holds
+    ``queries``, ``cache_hits`` and ``solve_calls``.
     """
 
     stage: str
@@ -261,9 +262,13 @@ class Pipeline:
 
     Below the stage memo sits a second, finer cache: one shared
     :class:`QueryCache` (:attr:`query_cache`) threaded through every
-    ``verify`` stage this pipeline runs, so identical solver queries
-    recur for free across programs, bindings and batch sweeps
-    (:meth:`run_many`).
+    ``check`` and ``verify`` stage this pipeline runs, so identical
+    solver queries recur for free across programs, annotation
+    candidates, bindings, batch sweeps (:meth:`run_many`) and serve
+    requests.  The type checker solves without witnesses; a witnessed
+    ``verify`` never takes a certificate-less valid answer from the
+    cache, it solves that query again with proof (see
+    :meth:`QueryCache.acquire`).
 
     **Thread safety.**  A memoizing pipeline may be shared by concurrent
     callers (``repro serve`` runs one per daemon, with requests on a
@@ -381,10 +386,11 @@ class Pipeline:
 
     def _check(self, key: str, function: ast.FunctionDef) -> StageResult:
         def produce():
-            checked = check_function(function)
+            checked = check_function(function, cache=self.query_cache)
             stats = {
                 "queries": checked.solver_queries,
                 "cache_hits": checked.solver_cache_hits,
+                "solve_calls": checked.solve_calls,
             }
             return checked, checked.solver_queries, stats
 

@@ -10,8 +10,8 @@ DPLL(T) core:
     alpha-trivial variants of a query (permuted premises, ``x+0`` vs
     ``x``) hit the same entry, which the raw-AST-keyed caches of earlier
     releases missed.  One cache instance is threaded through a whole
-    :class:`repro.pipeline.Pipeline`, so batch sweeps and Houdini rounds
-    share answers across programs and configurations.
+    :class:`repro.pipeline.Pipeline`, so type checks, batch sweeps and
+    Houdini rounds share answers across programs and configurations.
 
 :class:`SolverContext`
     A persistent :class:`~repro.solver.encode.Encoder` +
@@ -114,6 +114,14 @@ class QueryCache:
     ``encodings`` is the :class:`~repro.solver.encode.EncodingMemo` every
     encoder built for this cache shares (same ``max_entries`` bound), so
     a premise or atom is encoded once per cache, not once per query.
+
+    **Certified lookups:** an entry can be stored without a certificate
+    (a witness-off consumer solved it), while a witnessed consumer needs
+    one behind every valid answer.  ``acquire(key, certified=True)``
+    treats a valid entry that has no certificate as a miss; the caller
+    then solves with proof under the key's single flight and its
+    :meth:`store` replaces the entry.  Refutations carry no certificate,
+    so they hit either way.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -142,18 +150,21 @@ class QueryCache:
                 self._entries.move_to_end(key)
             return entry
 
-    def acquire(self, key: Tuple) -> Optional[CacheEntry]:
+    def acquire(self, key: Tuple, certified: bool = False) -> Optional[CacheEntry]:
         """A cached answer, or the *right to solve* ``key``.
 
         Returns the entry on a hit.  On a miss the caller now owns the
         key's single flight and **must** call :meth:`store` (or
         :meth:`cancel` on error) — concurrent acquirers of the same key
-        block until then and receive the stored entry as a hit.
+        block until then and receive the stored entry as a hit.  With
+        ``certified`` a valid entry without a certificate is a miss.
         """
         while True:
             with self._lock:
                 entry = self._entries.get(key)
-                if entry is not None:
+                if entry is not None and not (
+                    certified and entry.valid and entry.certificate is None
+                ):
                     self.hits += 1
                     self._entries.move_to_end(key)
                     return entry
@@ -330,7 +341,9 @@ class SolverContext:
         entailment is refuted (None when valid or when the solver gave
         up).  Consults and feeds the shared :class:`QueryCache` under the
         full normalized premise set, so answers interchange with
-        :class:`~repro.solver.interface.ValidityChecker` queries.
+        :class:`~repro.solver.interface.ValidityChecker` queries; a
+        witnessed context re-solves a cached valid answer that has no
+        certificate (see :meth:`QueryCache.acquire`).
         """
         extra = list(extra_premises)
         self.stats.queries += 1
@@ -339,7 +352,7 @@ class SolverContext:
             key = normalize_query(goal, self.premises + extra, self.bool_vars)
             # Single flight: a concurrent identical query waits for this
             # solve instead of duplicating it (see QueryCache.acquire).
-            entry = self.cache.acquire(key)
+            entry = self.cache.acquire(key, certified=self.witness)
             if entry is not None:
                 self.stats.cache_hits += 1
                 self.last_certificate = entry.certificate

@@ -18,7 +18,7 @@ two.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from typing import AbstractSet, Iterable, Optional, Set, Tuple
 
 from repro.lang import ast
 from repro.solver import formula as F
@@ -58,7 +58,10 @@ class ValidityChecker:
     # -- core entailment -------------------------------------------------------
 
     def entailment(
-        self, goal: ast.Expr, premises: Iterable[ast.Expr] = ()
+        self,
+        goal: ast.Expr,
+        premises: Iterable[ast.Expr] = (),
+        bool_vars: Optional[AbstractSet[str]] = None,
     ) -> Tuple[bool, Optional[Model]]:
         """``(valid, countermodel)`` for ``premises ⊨ goal`` in one solve.
 
@@ -69,20 +72,26 @@ class ValidityChecker:
         makes the type checker reject (conservative direction).  The
         countermodel is None when the goal is valid or the solver gave
         up (round limit).
+
+        ``bool_vars`` names the boolean variables of this one query; the
+        checker's :attr:`bool_vars` when None.  A witnessed checker
+        re-solves a cached valid answer that has no certificate (see
+        :meth:`QueryCache.acquire`).
         """
         premises = tuple(premises)
+        bool_vars = self.bool_vars if bool_vars is None else frozenset(bool_vars)
         self.queries += 1
-        key = normalize_query(goal, premises, self.bool_vars)
+        key = normalize_query(goal, premises, bool_vars)
         # Single flight (see QueryCache.acquire): a concurrent identical
         # query waits for this solve instead of duplicating it.
-        entry = self.cache.acquire(key)
+        entry = self.cache.acquire(key, certified=self.witness)
         if entry is not None:
             self.cache_hits += 1
             self.last_certificate = entry.certificate
             return entry.valid, entry.model
 
         try:
-            result, solver = self._solve(goal, premises)
+            result, solver = self._solve(goal, premises, bool_vars)
         except BaseException:
             self.cache.cancel(key)
             raise
@@ -96,9 +105,14 @@ class ValidityChecker:
         self.cache.store(key, entry)
         return entry.valid, entry.model
 
-    def is_valid(self, goal: ast.Expr, premises: Iterable[ast.Expr] = ()) -> bool:
+    def is_valid(
+        self,
+        goal: ast.Expr,
+        premises: Iterable[ast.Expr] = (),
+        bool_vars: Optional[AbstractSet[str]] = None,
+    ) -> bool:
         """True iff ``premises ⊨ goal`` in linear real arithmetic."""
-        valid, _ = self.entailment(goal, premises)
+        valid, _ = self.entailment(goal, premises, bool_vars)
         return valid
 
     def find_model(
@@ -121,9 +135,9 @@ class ValidityChecker:
     # -- internals -------------------------------------------------------------
 
     def _solve(
-        self, goal: ast.Expr, premises: Tuple[ast.Expr, ...]
+        self, goal: ast.Expr, premises: Tuple[ast.Expr, ...], bool_vars: AbstractSet[str]
     ) -> Tuple[SatResult, SMTSolver]:
-        encoder = Encoder(bool_vars=self.bool_vars, memo=self.cache.encodings)
+        encoder = Encoder(bool_vars=bool_vars, memo=self.cache.encodings)
         solver = SMTSolver(profile=self.profile)
         if self.witness:
             solver.enable_proof()

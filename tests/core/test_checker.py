@@ -2,10 +2,23 @@
 
 import pytest
 
+from repro.algorithms import all_specs, get
+from repro.automation.inference import (
+    _query_hat_terms,
+    branch_conditions,
+    candidate_alignments,
+    candidate_selectors,
+)
+from repro.core import preconditions
 from repro.core.checker import TypeChecker, check_function, uses_shadow_selector
+from repro.core.environment import env_from_function
 from repro.core.errors import ShadowDPTypeError
+from repro.core.simplify import simplify
 from repro.lang import ast
 from repro.lang.parser import parse_expr, parse_function
+from repro.lang.pretty import pretty_expr
+from repro.solver.context import QueryCache
+from repro.solver.interface import ValidityChecker
 
 
 def check(src):
@@ -185,6 +198,17 @@ class TestSampling:
             )
         assert err.value.reason == "injectivity"
 
+    def test_translation_alignment_asks_no_solver(self):
+        # η ↦ η + 2 is a translation, injective without a query.
+        checked = check(
+            """
+            function F(eps: num) returns y: num<0,0>
+            { eta := Lap(2 / eps), aligned, 2; y := 0; return y; }
+            """
+        )
+        assert checked.solver_queries == 0
+        assert checked.solve_calls == 0
+
     def test_selector_rewrites_aligned_distances(self):
         checked = check(
             """
@@ -218,6 +242,23 @@ class TestSampling:
 
 
 class TestBranching:
+    def test_boolean_assigned_before_branch_is_known_to_the_solver(self):
+        # `c` is boolean only from its assignment on; the branch's pc
+        # query must encode it as a boolean, not fail in the encoder.
+        with pytest.raises(ShadowDPTypeError) as err:
+            check(
+                """
+                function F(eps: num, x: num<0,1>, z: num<0,0>) returns y: num<0,0>
+                {
+                    eta := Lap(2 / eps), shadow, 0;
+                    c := z > 0;
+                    if (c && x > 1) { y := 0; } else { y := 0; }
+                    return y;
+                }
+                """
+            )
+        assert err.value.reason == "fresh-under-high-pc"
+
     def test_join_promotes_and_instruments(self):
         checked = check(
             """
@@ -305,3 +346,70 @@ class TestTargetOnlyCommands:
         with pytest.raises(ShadowDPTypeError) as err:
             check_function(bad)
         assert err.value.reason == "target-only-command"
+
+
+def _solver_injectivity_query(sample, psi):
+    """The goal and premises rule (T-Laplace) puts to the solver for
+    ``sample`` when it does not take the translation shortcut."""
+    eta = ast.Var(sample.name)
+    eta1, eta2 = ast.Var(f"{sample.name}%1"), ast.Var(f"{sample.name}%2")
+    aligned_sample = ast.BinOp("+", eta, sample.align)
+    goal = simplify(
+        ast.BinOp(
+            "||",
+            ast.BinOp(
+                "!=",
+                ast.substitute(aligned_sample, {eta: eta1}),
+                ast.substitute(aligned_sample, {eta: eta2}),
+            ),
+            ast.BinOp("==", eta1, eta2),
+        )
+    )
+    return goal, preconditions.instantiate(psi, [goal])
+
+
+class TestTranslationShortcut:
+    """(T-Laplace) skips the solver when substituting η leaves the
+    alignment unchanged.  Differentially: wherever the checker skips it,
+    the solver proves the query it would have been asked."""
+
+    @staticmethod
+    def _samples():
+        """Every registry sample, and every (selector, alignment)
+        candidate of the noisy_max and svt annotation searches."""
+        for spec in all_specs():
+            function = spec.function()
+            for stmt in ast.command_iter(function.body):
+                if isinstance(stmt, ast.Sample):
+                    yield function, stmt
+        for name in ("noisy_max", "svt"):
+            function = get(name).function()
+            conditions = branch_conditions(function.body)
+            alignments = candidate_alignments(conditions, _query_hat_terms(function))
+            for stmt in ast.command_iter(function.body):
+                if not isinstance(stmt, ast.Sample):
+                    continue
+                for selector in candidate_selectors(conditions):
+                    for align in alignments:
+                        yield function, ast.Sample(stmt.name, stmt.scale, selector, align)
+
+    def test_shortcut_never_changes_a_verdict(self):
+        cache = QueryCache()
+        reference = ValidityChecker()
+        skipped = asked = 0
+        for function, sample in self._samples():
+            checker = TypeChecker(function, cache=cache)
+            env = env_from_function(function)
+            try:
+                checker._check_injectivity(sample, env)
+            except ShadowDPTypeError:
+                pass
+            if checker.validity.queries:
+                asked += 1
+                continue
+            skipped += 1
+            goal, premises = _solver_injectivity_query(sample, function.precondition)
+            assert goal == ast.TRUE or reference.is_valid(
+                goal, premises, env.bool_vars()
+            ), pretty_expr(sample.align)
+        assert skipped and asked

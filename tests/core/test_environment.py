@@ -114,6 +114,16 @@ class TestTypeEnv:
         assert mapped.lookup("x").aligned == parse_expr("c + 1")
         assert ast.is_star(mapped.lookup("x").shadow)  # stars untouched
 
+    def test_map_distances_keeps_unchanged_entries(self):
+        env = TypeEnv().set("x", VarEntry(NUM, parse_expr("c"), ast.ZERO))
+        env = env.set("y", VarEntry(NUM, parse_expr("d"), ast.STAR))
+        assert env.map_distances(lambda d: d) is env
+        mapped = env.map_distances(
+            lambda d: ast.ONE if d == parse_expr("c") else d
+        )
+        assert mapped.lookup("x").aligned == ast.ONE
+        assert mapped.get("y") is env.get("y")
+
 
 class TestEnvFromFunction:
     def test_parameters_enter_with_declared_distances(self):

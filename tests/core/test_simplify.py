@@ -127,6 +127,8 @@ class TestSimplifyUnder:
         cond = parse_expr("x > 0")
         expr = s("y + 1")
         assert simplify_under(expr, cond, True) == expr
+        # Not rebuilt: the simplified input object itself comes back.
+        assert simplify_under(expr, cond, True) is expr
 
 
 class TestSemanticPreservation:

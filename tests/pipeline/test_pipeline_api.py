@@ -185,6 +185,27 @@ class TestMemoization:
         run = pipe.run(SVT.source, stop_after="check")
         assert not any(r.cached for r in run.stages.values())
 
+    def test_check_stage_shares_the_query_cache(self):
+        """A program new to the stage memo (here: the same function with
+        one more trailing newline) asks the type checker's questions of
+        the pipeline's query cache, which answers them all."""
+        pipe = Pipeline()
+        first = pipe.run(NOISY_MAX.source, stop_after="check").stages["check"]
+        checked = first.artifact
+        assert first.solver_stats == {
+            "queries": checked.solver_queries,
+            "cache_hits": checked.solver_cache_hits,
+            "solve_calls": checked.solve_calls,
+        }
+        assert checked.solve_calls > 0
+        second = pipe.run(NOISY_MAX.source + "\n", stop_after="check").stages["check"]
+        assert not second.cached
+        assert second.solver_stats == {
+            "queries": checked.solver_queries,
+            "cache_hits": checked.solver_queries,
+            "solve_calls": 0,
+        }
+
 
 class TestCLI:
     def _write(self, tmp_path, spec):

@@ -243,3 +243,63 @@ class TestQueryCacheLRU:
         assert len(cache) == 0
         assert cache.stats()["hits"] == 0
         assert cache.stats()["evictions"] == 0
+
+
+class TestCertifiedLookups:
+    """A witnessed consumer never takes a valid answer without a
+    certificate from the cache; it solves again with proof."""
+
+    GOAL = parse_expr("x <= 1")
+    PREMISES = [parse_expr("x <= 0")]
+
+    def test_certified_acquire_misses_an_uncertified_valid_entry(self):
+        from repro.solver.context import CacheEntry
+
+        cache = QueryCache()
+        cache.store("k", CacheEntry(valid=True, status="unsat"))
+        assert cache.acquire("k") is not None
+        assert cache.acquire("k", certified=True) is None  # owns the flight
+        assert cache.stats()["pending"] == 1
+        cache.store("k", CacheEntry(valid=True, status="unsat", certificate="proof"))
+        assert cache.acquire("k", certified=True).certificate == "proof"
+
+    def test_refutations_hit_certified_consumers(self):
+        from repro.solver.context import CacheEntry
+
+        cache = QueryCache()
+        cache.store("k", CacheEntry(valid=False, status="sat", model=({}, {})))
+        assert cache.acquire("k", certified=True) is not None
+
+    def test_witnessed_checker_resolves_a_plain_answer_with_proof(self):
+        cache = QueryCache()
+        assert ValidityChecker(cache=cache).is_valid(self.GOAL, self.PREMISES)
+        witnessed = ValidityChecker(cache=cache, witness=True)
+        assert witnessed.is_valid(self.GOAL, self.PREMISES)
+        assert witnessed.solve_calls == 1
+        assert witnessed.last_certificate is not None
+        # The certified entry now serves everyone.
+        again = ValidityChecker(cache=cache, witness=True)
+        assert again.is_valid(self.GOAL, self.PREMISES)
+        assert again.cache_hits == 1
+        assert again.last_certificate is witnessed.last_certificate
+        plain = ValidityChecker(cache=cache)
+        assert plain.is_valid(self.GOAL, self.PREMISES)
+        assert plain.cache_hits == 1
+
+    def test_witnessed_context_resolves_a_plain_answer_with_proof(self):
+        cache = QueryCache()
+        assert ValidityChecker(cache=cache).is_valid(self.GOAL, self.PREMISES)
+        ctx = SolverContext(cache=cache, witness=True)
+        ctx.assert_expr(self.PREMISES[0])
+        valid, _ = ctx.check_entailment(self.GOAL)
+        assert valid
+        assert ctx.stats.solve_calls == 1 and ctx.stats.cache_hits == 0
+        assert ctx.last_certificate is not None
+
+    def test_refutation_hits_a_witnessed_checker(self):
+        cache = QueryCache()
+        goal = parse_expr("x <= -1")
+        assert not ValidityChecker(cache=cache).is_valid(goal, self.PREMISES)
+        witnessed = ValidityChecker(cache=cache, witness=True)
+        assert not witnessed.is_valid(goal, self.PREMISES)
+        assert witnessed.cache_hits == 1 and witnessed.solve_calls == 0

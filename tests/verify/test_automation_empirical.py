@@ -10,10 +10,33 @@ from repro.automation.inference import (
     candidate_selectors,
     infer_annotations,
 )
+from repro.core import checker as checker_module
 from repro.empirical import estimate_epsilon_lower_bound
 from repro.lang import ast
 from repro.lang.parser import parse_expr
+from repro.lang.pretty import pretty_expr, pretty_selector
+from repro.solver.interface import ValidityChecker
 from repro.verify.verifier import VerificationConfig
+
+
+def _count_type_check_solves(monkeypatch):
+    """Count the solver calls the type checker makes from now on."""
+    solves = []
+
+    class CountingValidityChecker(ValidityChecker):
+        def _solve(self, *args):
+            solves.append(1)
+            return super()._solve(*args)
+
+    monkeypatch.setattr(checker_module, "ValidityChecker", CountingValidityChecker)
+    return solves
+
+
+def _pretty_annotations(result):
+    return {
+        name: (pretty_selector(selector), pretty_expr(align))
+        for name, (selector, align) in result.annotations.items()
+    }
 
 
 class TestCandidatePools:
@@ -35,9 +58,10 @@ class TestCandidatePools:
 
 
 class TestInference:
-    def test_discovers_noisy_max_annotation(self):
+    def test_discovers_noisy_max_annotation(self, monkeypatch):
         """Section 6.4's claim: the heuristics rediscover Ω ? † : ° with
-        Ω ? 2 : 0 for Report Noisy Max (here: some verified annotation)."""
+        Ω ? 2 : 0 for Report Noisy Max."""
+        solves = _count_type_check_solves(monkeypatch)
         # size = 3 matters: at size <= 2 the aligned-only annotation
         # `-q^o[i]` is genuinely sufficient (cost size*eps/2 <= eps), so
         # only from 3 queries on is the shadow execution forced.
@@ -55,6 +79,33 @@ class TestInference:
         # The discovered annotation must actually use the shadow execution
         # (no aligned-only annotation verifies Report Noisy Max at size 3).
         assert ast.selector_uses_shadow(selector)
+        omega = "q[i] + eta > bq || i == 0"
+        assert _pretty_annotations(result) == {
+            "eta": (f"{omega} ? shadow : aligned", f"{omega} ? 2 : 0")
+        }
+        assert (result.candidates_tried, result.type_checked) == (30, 17)
+        # The candidates share one query cache, and only alignments that
+        # mention eta ask the solver for injectivity.
+        assert len(solves) == 8
+
+    def test_discovers_svt_annotation(self, monkeypatch):
+        solves = _count_type_check_solves(monkeypatch)
+        spec = get("svt")
+        config = VerificationConfig(
+            mode="unroll",
+            bindings={"size": 3, "N": 1},
+            assumptions=spec.assumption_exprs(),
+            unroll_limit=5,
+            collect_models=False,
+        )
+        result = infer_annotations(spec.function(), config, max_candidates=600)
+        assert result.found, result.describe()
+        assert _pretty_annotations(result) == {
+            "eta1": ("aligned", "0"),
+            "eta2": ("aligned", "-q^o[i]"),
+        }
+        assert (result.candidates_tried, result.type_checked) == (7, 7)
+        assert len(solves) == 0
 
     def test_no_annotation_for_broken_program(self):
         # size = 5, N = 1: per-query alignment -q^o[i] would cost
@@ -125,7 +176,8 @@ class TestCLI:
         from repro.cli import main
 
         assert main(["check", self._write(tmp_path)]) == 0
-        assert "type checks" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "type checks [shadow execution; 7 solver queries, 3 solves]" in out
 
     def test_transform(self, tmp_path, capsys):
         from repro.cli import main

@@ -13,8 +13,10 @@ from repro import faults
 from repro.algorithms import get
 from repro.pipeline import Pipeline
 from repro.pipeline import spec_config
+from repro.solver.context import QueryCache
 from repro.verify.store import ObligationStore
 from repro.verify.verifier import verify_target
+from repro.witness import Certificate, validate
 
 
 @pytest.fixture(autouse=True)
@@ -121,3 +123,55 @@ class TestRejectedWitnessDegradesToReSolve:
         assert witnessed.outcome.witnesses == witnessed.outcome.obligations_total
         assert plain.outcome.witnesses is None
         assert not plain.stages["verify"].cached
+
+
+def _rows(store_path):
+    conn = sqlite3.connect(os.fspath(store_path))
+    try:
+        return sorted(
+            conn.execute("SELECT oid, fp, valid, status, witness FROM obligations")
+        )
+    finally:
+        conn.close()
+
+
+class TestSharedQueryCache:
+    """The pipeline's query cache also holds answers solved without
+    proof (plain runs, the type checker); a witnessed run must still
+    certify every valid verdict."""
+
+    def test_witnessed_run_after_plain_run_certifies_every_row(self, tmp_path):
+        spec = get("noisy_max")
+        pipe = Pipeline()
+        assert pipe.run(spec.source, config=spec_config(spec)).verified
+        store_path = tmp_path / "store.sqlite"
+        outcome = pipe.run(
+            spec.source, config=_witnessed_config(spec, store_path)
+        ).outcome
+        assert outcome.verified
+        assert outcome.witnesses == 6
+        rows = _rows(store_path)
+        assert len(rows) == 6
+        for _oid, _fp, valid, _status, witness in rows:
+            assert valid and witness is not None
+            validate(Certificate.from_json(witness))
+
+    @pytest.mark.parametrize("name, certificates", [("noisy_max", 6), ("svt", 12)])
+    def test_type_checked_run_stores_a_private_caches_certificates(
+        self, tmp_path, name, certificates
+    ):
+        # The check stage fills the pipeline's cache before verify runs;
+        # the stored rows must be those of a verify on a cache of its own.
+        spec = get(name)
+        shared = Pipeline().run(
+            spec.source, config=_witnessed_config(spec, tmp_path / "shared.sqlite")
+        )
+        assert shared.stages["check"].solver_queries > 0
+        assert shared.outcome.witnesses == certificates
+        private = verify_target(
+            spec.target(),
+            _witnessed_config(spec, tmp_path / "private.sqlite"),
+            cache=QueryCache(),
+        )
+        assert private.witnesses == certificates
+        assert _rows(tmp_path / "shared.sqlite") == _rows(tmp_path / "private.sqlite")
