@@ -8,8 +8,8 @@ assembled table (compare against the paper's Table 1; ``perfbench/run.py
 
 import pytest
 
-from benchmarks.table1 import TABLE1_ORDER, generate_table1, render_table1
-from repro.algorithms import get
+from repro.algorithms import TABLE1_ORDER, get
+from repro.algorithms.table1 import generate_table1, render_table1
 from repro.core.checker import check_function
 from repro.verify.verifier import VerificationConfig, verify_target
 

@@ -9,7 +9,7 @@ algorithm ε-differentially private.
 Run:  python examples/quickstart.py
 """
 
-from repro import VerificationConfig, pipeline
+from repro import Pipeline, VerificationConfig
 from repro.algorithms import get
 from repro.lang.parser import parse_expr
 from repro.lang.pretty import pretty_command
@@ -25,7 +25,7 @@ def main() -> None:
         mode="invariant",
         assumptions=(parse_expr("eps > 0"), parse_expr("size >= 0")),
     )
-    result = pipeline(SOURCE, config)
+    result = Pipeline(memoize=False).run(SOURCE, config=config)
 
     print("\n=== Transformed target program (Figure 1, bottom) ===")
     print(pretty_command(result.target.body))

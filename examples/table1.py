@@ -3,13 +3,7 @@
 Run:  python examples/table1.py
 """
 
-import sys
-from pathlib import Path
-
-# Allow running from the repository root without installing benchmarks/.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from benchmarks.table1 import generate_table1, render_table1  # noqa: E402
+from repro.algorithms.table1 import generate_table1, render_table1
 
 
 def main() -> None:

@@ -16,9 +16,8 @@ True
 Each stage produces a :class:`~repro.pipeline.StageResult` (artifact,
 wall-clock seconds, solver-query count); stages are memoized on the
 source hash, and :meth:`~repro.pipeline.Pipeline.run_many` batches the
-whole algorithm registry through one shared cache.  The one-shot
-:func:`pipeline` facade is kept as a thin wrapper over a non-memoizing
-``Pipeline``.
+whole algorithm registry through one shared cache.  A one-shot run is
+``Pipeline(memoize=False).run(source, config=...)``.
 
 Layers (bottom-up):
 
@@ -46,9 +45,6 @@ Layers (bottom-up):
   statistical ε estimator.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.core.checker import CheckedProgram, check_function
 from repro.core.errors import ShadowDPError, ShadowDPTypeError
 from repro.lang.parser import parse_function
@@ -64,33 +60,8 @@ from repro.verify.verifier import VerificationConfig, VerificationOutcome, verif
 
 __version__ = "1.2.0"
 
-
-@dataclass
-class PipelineResult:
-    """Everything the end-to-end pipeline produces for one program.
-
-    The legacy one-shot result shape; :class:`~repro.pipeline.PipelineRun`
-    is the staged equivalent with per-stage accounting.
-    """
-
-    checked: CheckedProgram
-    target: TargetProgram
-    outcome: VerificationOutcome
-
-
-def pipeline(source: str, config: Optional[VerificationConfig] = None) -> PipelineResult:
-    """Parse, type check, transform and verify one ShadowDP program.
-
-    Thin backward-compatible wrapper over :class:`~repro.pipeline.Pipeline`.
-    """
-    run = Pipeline(config=config, memoize=False).run(source)
-    return PipelineResult(run.checked, run.target, run.outcome)
-
-
 __all__ = [
     "__version__",
-    "pipeline",
-    "PipelineResult",
     "Pipeline",
     "PipelineRun",
     "PipelineError",

@@ -1,4 +1,4 @@
-"""Regeneration of the paper's Table 1.
+"""Regeneration of the paper's Table 1 (``repro table1``).
 
 For each row the paper reports: type-check seconds,
 verification seconds for ShadowDP (with a "Rewrite" column — their
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.algorithms import TABLE1_ORDER, get
+from repro.algorithms.registry import TABLE1_ORDER, get
 from repro.baselines import COUPLING_VERIFIER_SECONDS
 from repro.core.checker import check_function
 from repro.target.transform import to_target

@@ -33,24 +33,35 @@ from repro.verify.verifier import VerificationConfig
 
 @dataclass
 class InferenceResult:
-    """The outcome of an annotation search."""
+    """The outcome of an annotation search.
+
+    ``type_check_solves`` and ``verify_solves`` are the solver calls the
+    search made in each stage, summed over every candidate, those the
+    type checker rejected included.
+    """
 
     found: bool
     annotations: Dict[str, Tuple[ast.Selector, ast.Expr]] = field(default_factory=dict)
     candidates_tried: int = 0
     type_checked: int = 0
     seconds: float = 0.0
+    type_check_solves: int = 0
+    verify_solves: int = 0
 
     def describe(self) -> str:
+        work = (
+            f"{self.type_check_solves} type-check solves, "
+            f"{self.verify_solves} verify solves, {self.seconds:.2f}s"
+        )
         if not self.found:
-            return f"no annotation found ({self.candidates_tried} candidates, {self.seconds:.2f}s)"
+            return f"no annotation found ({self.candidates_tried} candidates, {work})"
         parts = [
             f"{name}: selector={pretty_selector(sel)}, align={pretty_expr(align)}"
             for name, (sel, align) in self.annotations.items()
         ]
         return (
             f"found after {self.candidates_tried} candidates "
-            f"({self.type_checked} type checked, {self.seconds:.2f}s): "
+            f"({self.type_checked} type checked, {work}): "
             + "; ".join(parts)
         )
 
@@ -156,6 +167,7 @@ def infer_annotations(
     ]
     tried = 0
     checked = 0
+    solves = {"check": 0, "verify": 0}
     for combo in itertools.product(*per_sample):
         tried += 1
         if tried > max_candidates:
@@ -172,9 +184,13 @@ def infer_annotations(
         )
         try:
             run = pipe.run(candidate_fn)
-        except ShadowDPTypeError:
+        except ShadowDPTypeError as err:
+            solves["check"] += err.solve_calls
             continue
         checked += 1
+        for stage in solves:
+            stats = run.stages[stage].solver_stats  # None when memoized
+            solves[stage] += stats["solve_calls"] if stats else 0
         if run.outcome.verified:
             return InferenceResult(
                 found=True,
@@ -182,10 +198,14 @@ def infer_annotations(
                 candidates_tried=tried,
                 type_checked=checked,
                 seconds=time.perf_counter() - start,
+                type_check_solves=solves["check"],
+                verify_solves=solves["verify"],
             )
     return InferenceResult(
         found=False,
         candidates_tried=tried,
         type_checked=checked,
         seconds=time.perf_counter() - start,
+        type_check_solves=solves["check"],
+        verify_solves=solves["verify"],
     )

@@ -220,6 +220,27 @@ def _print_solver_stats(stats, indent: str = "") -> None:
         )
 
 
+def _print_check_stats(result, indent: str = "") -> None:
+    """The ``check`` stage's solver line, when the stage ran this time."""
+    stats = result.solver_stats if result is not None else None
+    if stats is None:
+        return
+    line = (
+        f"{indent}check: {stats['queries']} queries, {stats['cache_hits']} cache hits, "
+        f"{stats['solve_calls']} solves"
+    )
+    if "certificates" in stats:
+        line += f", {stats['certificates']} certificates"
+    store = stats.get("store")
+    if store is not None:
+        line += (
+            f"; store: {store['hits']} hits, {store['misses']} misses, "
+            f"{store['writes']} writes, {store['validated_hits']} validated hits, "
+            f"{store['witness_rejects']} witness rejects"
+        )
+    print(line)
+
+
 def _print_profile(profile, indent: str = "") -> None:
     """Render the inner-loop SolverProfile counters, grouped by layer."""
     groups = (
@@ -305,6 +326,7 @@ def cmd_verify(args) -> int:
     for failure in outcome.failures:
         print("  " + failure.describe())
     if args.solver_stats:
+        _print_check_stats(run.stages.get("check"))
         _print_solver_stats(outcome.solver_stats())
     if args.profile and outcome.profile is not None:
         _print_profile(outcome.profile)
@@ -341,6 +363,7 @@ def cmd_pipeline(args) -> int:
                 for failure in run.outcome.failures:
                     print("    " + failure.describe())
                 if args.solver_stats:
+                    _print_check_stats(run.stages.get("check"), indent="  ")
                     _print_solver_stats(run.outcome.solver_stats(), indent="  ")
                 if args.profile and run.outcome.profile is not None:
                     _print_profile(run.outcome.profile, indent="  ")
@@ -375,7 +398,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    from benchmarks.table1 import generate_table1, render_table1  # type: ignore
+    from repro.algorithms.table1 import generate_table1, render_table1
 
     rows = generate_table1()
     print(render_table1(rows))
@@ -738,14 +761,18 @@ def _witness_sweep(args) -> int:
 
     Pure trusted-kernel work: obligations are enumerated symbolically
     and verdicts come from the store — no SAT/simplex solver is ever
-    constructed.  Exit 0 only when every valid obligation's certificate
-    is present and checks.
+    constructed.  Every check-stage row in the store (the type checker's
+    answers) is re-validated too.  Exit 0 only when every valid
+    obligation's certificate is present and checks, and every valid
+    check-stage row's certificate checks.  ``--populate`` first runs
+    each program witnessed, which writes both kinds of row.
     """
     from dataclasses import replace
 
     from repro.algorithms import registry
     from repro.pipeline import spec_config
     from repro.verify.store import (
+        CHECK_FINGERPRINT,
         STORE_ENV_VAR,
         ObligationStore,
         default_store_path,
@@ -760,35 +787,47 @@ def _witness_sweep(args) -> int:
         specs = [registry.get(name) for name in args.spec]
     pipe = Pipeline()
     totals = {"missing": 0, "refuted": 0, "unwitnessed": 0, "validated": 0, "rejected": 0}
+
+    def tally(counts, verdict) -> None:
+        if verdict is None:
+            counts["missing"] += 1
+        elif not verdict.valid:
+            counts["refuted"] += 1
+        elif verdict.witness is None:
+            counts["unwitnessed"] += 1
+        else:
+            try:
+                validate(Certificate.from_json(verdict.witness))
+                counts["validated"] += 1
+            except WitnessError:
+                counts["rejected"] += 1
+
     rows = []
     for spec in specs:
         config = replace(spec_config(spec), store=store, witness=True)
-        run = pipe.run(spec.source, config=config, stop_after="optimize")
+        # Only a populating sweep type checks against the store; the
+        # check stage would solve what it misses.
+        run = pipe.run(
+            spec.source, config=config if args.populate else None, stop_after="optimize"
+        )
         if args.populate:
             verify_target(run.target, config)
         generator, checker = prepare_generator(run.target, config)
         counts = dict.fromkeys(totals, 0)
         for obligation in generator.stream(target_cfg(run.target, config)):
-            verdict = store.lookup(obligation.oid, checker.store_fingerprint)
-            if verdict is None:
-                counts["missing"] += 1
-            elif not verdict.valid:
-                counts["refuted"] += 1
-            elif verdict.witness is None:
-                counts["unwitnessed"] += 1
-            else:
-                try:
-                    validate(Certificate.from_json(verdict.witness))
-                    counts["validated"] += 1
-                except WitnessError:
-                    counts["rejected"] += 1
-        for key, value in counts.items():
-            totals[key] += value
+            tally(counts, store.lookup(obligation.oid, checker.store_fingerprint))
         rows.append({"spec": spec.name, **counts})
+    check = dict.fromkeys(totals, 0)
+    for oid in store.oids(CHECK_FINGERPRINT):
+        tally(check, store.lookup(oid, CHECK_FINGERPRINT))
+    for counts in rows + [check]:
+        for key in totals:
+            totals[key] += counts[key]
     if args.json:
-        print(json.dumps({"specs": rows, "totals": totals}, indent=2, sort_keys=True))
+        print(json.dumps({"specs": rows, "check": check, "totals": totals},
+                         indent=2, sort_keys=True))
     else:
-        for row in rows:
+        for row in rows + [{"spec": "(type checker)", **check}]:
             print(
                 f"{row['spec']:<24s} {row['validated']} validated, "
                 f"{row['refuted']} refuted, {row['unwitnessed']} unwitnessed, "

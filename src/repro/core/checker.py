@@ -32,12 +32,21 @@ cache the caller passes (:class:`~repro.pipeline.Pipeline` passes its
 own, so an answer found for one program or annotation candidate serves
 the next), each under the boolean variables of the environment at the
 program point that asks.
+
+With witnesses on, every valid answer the checker relies on carries a
+certificate the trusted kernel can re-check, and
+:attr:`CheckedProgram.certificates` keeps them by query id
+(:func:`~repro.solver.context.query_oid`).  A refutation needs none: it
+can only make the checker reject.  Given a persistent answer source
+(the pipeline passes a :class:`repro.verify.store.CheckAnswers` when a
+store is attached), a question the cache misses is answered from there
+before it is solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import preconditions
 from repro.core.environment import BOOL, NUM, TypeEnv, VarEntry, env_from_function
@@ -52,7 +61,7 @@ from repro.ir.cfg import CFG, Block, Branch, LoopHeader
 from repro.ir.passes import selector_conditions
 from repro.lang import ast
 from repro.lang.pretty import pretty_expr
-from repro.solver.context import QueryCache
+from repro.solver.context import QueryCache, query_oid
 from repro.solver.interface import ValidityChecker
 
 _MAX_FIXPOINT_ITERATIONS = 20
@@ -64,7 +73,9 @@ class CheckedProgram:
 
     ``body`` still contains :class:`~repro.lang.ast.Sample` commands; the
     second transformation stage (:mod:`repro.target.transform`) lowers
-    them to ``havoc`` plus privacy-cost updates.
+    them to ``havoc`` plus privacy-cost updates.  ``certificates`` holds,
+    when the check ran with witnesses, the certificate behind every valid
+    solver answer it relied on, by query id.
     """
 
     function: ast.FunctionDef
@@ -74,6 +85,7 @@ class CheckedProgram:
     solver_queries: int = 0
     solver_cache_hits: int = 0
     solve_calls: int = 0
+    certificates: Dict[str, object] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -107,7 +119,9 @@ class TypeChecker(CFGWalker):
     fixpoint over the loop's body sub-CFG.
 
     Solver questions go through ``cache`` when one is given (the
-    pipeline passes its query cache), else through a private one.
+    pipeline passes its query cache), else through a private one;
+    ``witness`` and ``answers`` configure the
+    :class:`~repro.solver.interface.ValidityChecker` that asks them.
     """
 
     def __init__(
@@ -115,10 +129,12 @@ class TypeChecker(CFGWalker):
         function: ast.FunctionDef,
         lightdp_mode: bool = False,
         cache: Optional[QueryCache] = None,
+        witness: bool = False,
+        answers=None,
     ) -> None:
         self.function = function
         self.psi = function.precondition
-        self.validity = ValidityChecker(cache=cache)
+        self.validity = ValidityChecker(cache=cache, witness=witness, answers=answers)
         self.lightdp_mode = lightdp_mode
         self.cfg = ast_to_cfg(function.body)
         self.aligned_only = not uses_shadow_selector(self.cfg)
@@ -139,7 +155,13 @@ class TypeChecker(CFGWalker):
                 reason="lightdp-shadow",
             )
         env = env_from_function(self.function)
-        body, final_env = self._check_region(self.cfg, self.cfg.entry, None, env, PC_LOW)
+        try:
+            body, final_env = self._check_region(
+                self.cfg, self.cfg.entry, None, env, PC_LOW
+            )
+        except ShadowDPTypeError as err:
+            err.solve_calls = self.validity.solve_calls
+            raise
         return CheckedProgram(
             function=self.function,
             body=body,
@@ -148,6 +170,10 @@ class TypeChecker(CFGWalker):
             solver_queries=self.validity.queries,
             solver_cache_hits=self.validity.cache_hits,
             solve_calls=self.validity.solve_calls,
+            certificates={
+                query_oid(key): certificate
+                for key, certificate in self.validity.certificates.items()
+            },
         )
 
     # -- helpers -------------------------------------------------------------------
@@ -682,10 +708,15 @@ def check_function(
     function: ast.FunctionDef,
     lightdp_mode: bool = False,
     cache: Optional[QueryCache] = None,
+    witness: bool = False,
+    answers=None,
 ) -> CheckedProgram:
     """Type check ``function`` and produce its instrumented body.
 
     ``cache`` is the query cache the solver questions go through (a
-    private one when None); see :class:`TypeChecker`.
+    private one when None); ``witness`` certifies every valid answer and
+    ``answers`` is a persistent answer source; see :class:`TypeChecker`.
     """
-    return TypeChecker(function, lightdp_mode=lightdp_mode, cache=cache).check()
+    return TypeChecker(
+        function, lightdp_mode=lightdp_mode, cache=cache, witness=witness, answers=answers
+    ).check()

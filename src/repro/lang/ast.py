@@ -16,6 +16,17 @@ separately stay separate objects and compare by structure.  A string's
 hash depends on the process's hash seed, so the cached value is never
 pickled; unpickling rebuilds a node from its fields (see :func:`_node`).
 
+A node's ``repr`` is its canonical text: byte for byte what the
+``dataclass``-generated ``repr`` prints (``BinOp(op='+', left=Var(name=
+'x'), right=Real(1))``).  Obligation ids, store fingerprints, the check
+stage's store keys and ``normalize_query``'s premise order are all
+digests or sorts of that text, so it must never change.  ``repr`` keeps
+the text in the node's ``_text`` slot; rendering a node reuses the text
+its children already hold but stores none on them, so only nodes that
+``repr`` is actually called on (goals, path elements, premises,
+assumptions) pay the memory.  Like the hash, the text is rebuilt from
+the fields and never pickled.
+
 Naming conventions used throughout the code base:
 
 * ``aligned`` corresponds to the paper's ``°`` (circle) version — the
@@ -47,40 +58,68 @@ VERSIONS = (ALIGNED, SHADOW)
 
 
 class Node:
-    """Base class of every AST node; holds the node's cached hash."""
+    """Base class of every AST node; holds the node's cached hash and text."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_text")
+
+    def _render(self) -> str:
+        """The node's canonical text, computed without caching any."""
+        raise NotImplementedError
 
 
 _set_hash = Node._hash.__set__
+_set_text = Node._text.__set__
+
+
+def _field_text(value: object) -> str:
+    """``repr(value)`` for a field value: a node's cached text when it
+    has one, else its rendering, which stores nothing."""
+    if isinstance(value, Node):
+        text = value._text
+        return value._render() if text is None else text
+    if type(value) is tuple:
+        if len(value) == 1:
+            return f"({_field_text(value[0])},)"
+        return f"({', '.join([_field_text(item) for item in value])})"
+    return repr(value)
 
 
 def _node(cls):
-    """Make ``cls`` a frozen, slotted dataclass that hashes once.
+    """Make ``cls`` a frozen, slotted dataclass that hashes and prints once.
 
-    The class keeps the ``__eq__`` and ``__repr__`` that ``dataclass``
-    generates.  Its ``__hash__`` returns the ``dataclass`` one, computed
-    on the first call and stored in the ``_hash`` slot, which
-    ``__post_init__`` clears.  ``__reduce__`` pickles a node as its
-    constructor call on its fields, so unpickling rebuilds the node and
-    hashes it afresh under the receiving process's hash seed.
+    The class keeps the ``__eq__`` that ``dataclass`` generates.  Its
+    ``__hash__`` returns the ``dataclass`` one, computed on the first
+    call and stored in the ``_hash`` slot.  Its ``__repr__`` returns the
+    ``dataclass`` text (or the class's own ``__repr__``), computed on the
+    first call and stored in the ``_text`` slot; ``__post_init__``
+    clears both.  ``__reduce__`` pickles a node as its constructor call
+    on its fields, so unpickling rebuilds the node and hashes it afresh
+    under the receiving process's hash seed.
     """
     own_post_init = cls.__dict__.get("__post_init__")
+    own_repr = cls.__dict__.get("__repr__")
     if own_post_init is None:
 
         def __post_init__(self) -> None:
             _set_hash(self, None)
+            _set_text(self, None)
 
     else:
 
         def __post_init__(self) -> None:
             _set_hash(self, None)
+            _set_text(self, None)
             own_post_init(self)
 
     cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True, slots=True)(cls)
     structural = cls.__hash__
     names = tuple(f.name for f in fields(cls))
+    shown = tuple(f.name for f in fields(cls) if f.repr)
+
+    def _render(self) -> str:
+        parts = [f"{name}={_field_text(getattr(self, name))}" for name in shown]
+        return f"{type(self).__qualname__}({', '.join(parts)})"
 
     def __hash__(self) -> int:
         value = self._hash
@@ -89,10 +128,19 @@ def _node(cls):
             _set_hash(self, value)
         return value
 
+    def __repr__(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._render()
+            _set_text(self, text)
+        return text
+
     def __reduce__(self):
         return cls, tuple([getattr(self, name) for name in names])
 
+    cls._render = own_repr if own_repr is not None else _render
     cls.__hash__ = __hash__
+    cls.__repr__ = __repr__
     cls.__reduce__ = __reduce__
     return cls
 

@@ -1,4 +1,4 @@
-"""A hand-written lexer for the ShadowDP concrete syntax.
+"""The lexer for the ShadowDP concrete syntax.
 
 The concrete syntax follows the paper's figures as closely as ASCII allows:
 
@@ -7,10 +7,24 @@ The concrete syntax follows the paper's figures as closely as ASCII allows:
 * ``:=`` is assignment, ``::`` is list cons, and ``?:`` is the ternary.
 
 Comments run from ``#`` or ``//`` to the end of the line.
+
+The lexer scans with one compiled master regex: each step matches one
+whitespace run, comment, number, word or operator at the current
+position, and the match's group names the token kind.  Its classes are
+Python's Unicode ones, which agree with the ``str`` predicates the
+language is defined by: ``\\w`` is ``isalnum()`` plus ``_`` (identifier
+characters) and ``\\d`` is ``isdecimal()`` (number digits).  Only two
+kinds of character fall between them, both outside ASCII: digits that
+are not decimal (``²``, ``①``), which ``isdigit()`` accepts so a number
+runs on through them and ``Fraction`` then rejects the literal, and
+other numeric characters (``½``), which are unexpected characters.  The
+lexer handles both where a match meets one.  Lines count ``\\n`` only,
+and columns count code points from 1.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List
@@ -104,6 +118,32 @@ OPERATORS = (
 )
 
 
+#: Trivia (whitespace runs and comments), then at most one token; the
+#: token's group names its kind.  Operators keep the order of
+#: ``OPERATORS``, longest first.
+_MASTER = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]+|(?:\#|//)[^\n]*)*)"
+    r"(?:(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<word>[^\W\d]\w*)"
+    "|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + "))?"
+)
+
+
+def _digits_end(source: str, pos: int) -> int:
+    while source[pos : pos + 1].isdigit():
+        pos += 1
+    return pos
+
+
+def _number_end(source: str, start: int) -> int:
+    """Where a number starting at ``start`` ends under ``str.isdigit``:
+    a digit run, then ``.`` and a second run if a digit follows it."""
+    end = _digits_end(source, start)
+    if source[end : end + 1] == "." and source[end + 1 : end + 2].isdigit():
+        end = _digits_end(source, end + 1)
+    return end
+
+
 class Lexer:
     """Streaming tokenizer over a source string."""
 
@@ -111,87 +151,61 @@ class Lexer:
         self._source = source
         self._pos = 0
         self._line = 1
-        self._column = 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self._line, self._column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#" or (ch == "/" and self._peek(1) == "/"):
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        line, column = self._line, self._column
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start : self._pos]
-        return Token("NUMBER", Fraction(text), line, column)
-
-    def _lex_word(self) -> Token:
-        line, column = self._line, self._column
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start : self._pos]
-        # A hat suffix turns `q^o` into a HAT token for q-hat-aligned.
-        if self._peek() == "^":
-            version = self._peek(1)
-            if version not in ("o", "s"):
-                raise self._error(f"bad hat suffix ^{version!r} (expected ^o or ^s)")
-            after = self._peek(2)
-            if after.isalnum() or after == "_":
-                raise self._error("hat suffix must be exactly ^o or ^s")
-            self._advance(2)
-            return Token("HAT", (text, version), line, column)
-        if text in KEYWORDS:
-            return Token("KEYWORD", text, line, column)
-        return Token("IDENT", text, line, column)
+        #: Offset of the first character of the current line.
+        self._line_start = 0
 
     def next_token(self) -> Token:
         """Return the next token (``EOF`` at end of input)."""
-        self._skip_trivia()
-        line, column = self._line, self._column
-        if self._pos >= len(self._source):
-            return Token("EOF", None, line, column)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch.isalpha() or ch == "_":
-            return self._lex_word()
-        for op in OPERATORS:
-            if self._source.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token("OP", op, line, column)
-        raise self._error(f"unexpected character {ch!r}")
+        source = self._source
+        match = _MASTER.match(source, self._pos)
+        kind = match.lastgroup
+        pos = match.end("trivia")
+        newlines = source.count("\n", self._pos, pos)
+        if newlines:
+            self._line += newlines
+            self._line_start = source.rfind("\n", 0, pos) + 1
+        self._pos = pos
+        line, column = self._line, pos - self._line_start + 1
+        if kind == "trivia":
+            if pos >= len(source):
+                return Token("EOF", None, line, column)
+            raise LexError(f"unexpected character {source[pos]!r}", line, column)
+        end = match.end()
+        text = match.group(kind)
+        if kind == "op":
+            self._pos = end
+            return Token("OP", text, line, column)
+        if kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+            # A numeric character that is not a letter: a digit starts a
+            # number, anything else is unexpected.
+            if not text[0].isdigit():
+                raise LexError(f"unexpected character {text[0]!r}", line, column)
+            kind, end = "number", _number_end(source, pos)
+        if kind == "number":
+            after = source[end : end + 1]
+            if after.isdigit() or (
+                after == "." and "." not in text and source[end + 1 : end + 2].isdigit()
+            ):
+                end = _number_end(source, pos)
+            # Past a non-decimal digit Fraction rejects the literal.
+            self._pos = end
+            return Token("NUMBER", Fraction(source[pos:end]), line, column)
+        # A hat suffix turns `q^o` into a HAT token for q-hat-aligned.
+        if source.startswith("^", end):
+            self._pos = end
+            hat_column = column + len(text)
+            version = source[end + 1 : end + 2]
+            if version not in ("o", "s"):
+                raise LexError(
+                    f"bad hat suffix ^{version!r} (expected ^o or ^s)", line, hat_column
+                )
+            after = source[end + 2 : end + 3]
+            if after.isalnum() or after == "_":
+                raise LexError("hat suffix must be exactly ^o or ^s", line, hat_column)
+            self._pos = end + 2
+            return Token("HAT", (text, version), line, column)
+        self._pos = end
+        return Token("KEYWORD" if text in KEYWORDS else "IDENT", text, line, column)
 
     def tokens(self) -> Iterator[Token]:
         """Iterate all tokens, ending with a single ``EOF``."""

@@ -26,9 +26,6 @@ queries), and memoizes every stage on the SHA-256 of the source text
 runs — different bindings over one program, batch sweeps, annotation
 search — skip all unchanged prefix work.  :meth:`Pipeline.run_many`
 batches a whole algorithm registry through one shared cache.
-
-The one-shot :func:`repro.pipeline` facade from earlier releases remains
-as a thin wrapper (see :mod:`repro.__init__`).
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ import dataclasses
 import hashlib
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -48,6 +46,7 @@ from repro.lang.pretty import pretty_function
 from repro.solver.context import QueryCache
 from repro.target.transform import TargetProgram, to_target
 from repro.verify.discharge import EventSink
+from repro.verify.store import CheckAnswers, resolve_store
 from repro.verify.verifier import (
     VerificationConfig,
     VerificationOutcome,
@@ -76,7 +75,9 @@ class StageResult:
     from the shared query cache.  ``solver_stats`` carries the full
     incremental-solver counter set (solve calls, context pushes/pops,
     discharge strategy and units) for ``verify``; for ``check`` it holds
-    ``queries``, ``cache_hits`` and ``solve_calls``.
+    ``queries``, ``cache_hits`` and ``solve_calls``, plus
+    ``certificates`` when witnesses were on and ``store`` (this stage's
+    store traffic) when its answers came from a store.
     """
 
     stage: str
@@ -265,10 +266,18 @@ class Pipeline:
     ``check`` and ``verify`` stage this pipeline runs, so identical
     solver queries recur for free across programs, annotation
     candidates, bindings, batch sweeps (:meth:`run_many`) and serve
-    requests.  The type checker solves without witnesses; a witnessed
-    ``verify`` never takes a certificate-less valid answer from the
-    cache, it solves that query again with proof (see
+    requests.  A witnessed stage never takes a certificate-less valid
+    answer from the cache, it solves that query again with proof (see
     :meth:`QueryCache.acquire`).
+
+    **The store.**  With ``config.store`` set, :meth:`run` opens the
+    store once for both stages and marks every row the run was answered
+    from in one commit.  With ``config.witness`` on as well, the
+    ``check`` stage answers type-check queries from the store's
+    check-stage rows, each valid one only after the trusted kernel
+    accepts its certificate, and writes fresh answers back (see
+    :class:`~repro.verify.store.CheckAnswers`).  An unwitnessed check
+    stage neither reads nor writes the store.
 
     **Thread safety.**  A memoizing pipeline may be shared by concurrent
     callers (``repro serve`` runs one per daemon, with requests on a
@@ -384,17 +393,38 @@ class Pipeline:
     def _parse(self, key: str, source: str) -> StageResult:
         return self._memo("parse", key, "", lambda: (parse_function(source), 0))
 
-    def _check(self, key: str, function: ast.FunctionDef) -> StageResult:
+    def _check(
+        self, key: str, function: ast.FunctionDef, config: VerificationConfig
+    ) -> StageResult:
+        witness = config.witness
+        # ``run`` has resolved the store to an instance by now.
+        store = config.store if witness else None
+
         def produce():
-            checked = check_function(function, cache=self.query_cache)
+            answers = CheckAnswers(store) if store is not None else None
+            before = store.snapshot() if store is not None else None
+            try:
+                checked = check_function(
+                    function, cache=self.query_cache, witness=witness, answers=answers
+                )
+            finally:
+                if answers is not None:
+                    answers.flush()
             stats = {
                 "queries": checked.solver_queries,
                 "cache_hits": checked.solver_cache_hits,
                 "solve_calls": checked.solve_calls,
             }
+            if witness:
+                stats["certificates"] = len(checked.certificates)
+            if store is not None:
+                stats["store"] = store.delta_since(before)
             return checked, checked.solver_queries, stats
 
-        return self._memo("check", key, "", produce)
+        # A witnessed check reports certificates and may read a store:
+        # its own memo entry per store.
+        extra = repr((witness, getattr(store, "path", None))) if witness else ""
+        return self._memo("check", key, extra, produce)
 
     #: The named CFG passes ``lower_ir`` runs after building the graph;
     #: recorded on the artifact's pass trail (``ir_stats["passes"]``).
@@ -471,7 +501,26 @@ class Pipeline:
         config = config or self.config
         if profile is not None and profile != config.profile:
             config = dataclasses.replace(config, profile=profile)
+        store = resolve_store(config.store)
+        # Opened here from a path for this run alone; a caller's
+        # instance (the server's shared store) stays open.
+        owned = store is not None and store is not config.store
+        if owned:
+            config = dataclasses.replace(config, store=store)
+        try:
+            with store.batched_touches() if store is not None else nullcontext():
+                return self._run(program, config, stop_after, on_event)
+        finally:
+            if owned:
+                store.close()
 
+    def _run(
+        self,
+        program: Program,
+        config: VerificationConfig,
+        stop_after: str,
+        on_event: EventSink,
+    ) -> PipelineRun:
         if isinstance(program, ast.FunctionDef):
             source = pretty_function(program)
             key = source_hash(source)
@@ -491,7 +540,7 @@ class Pipeline:
         if stop_after == "parse":
             return run
 
-        run.stages["check"] = self._check(key, run.stages["parse"].artifact)
+        run.stages["check"] = self._check(key, run.stages["parse"].artifact, config)
         if stop_after == "check":
             return run
 

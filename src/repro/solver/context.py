@@ -26,6 +26,7 @@ DPLL(T) core:
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -69,6 +70,19 @@ def normalize_query(
         kept.append(premise)
     kept.sort(key=repr)
     return (simplify(goal), tuple(kept), frozenset(bool_vars))
+
+
+def query_oid(key: Tuple) -> str:
+    """A stable id for a normalized query: sha256 of its canonical text.
+
+    The text is the ``repr`` of the simplified goal, the ordered premises
+    and the sorted boolean variables — everything the answer depends on
+    — so the id is the same across runs, processes and hash seeds.  The
+    check stage keys its persistent store rows by it.
+    """
+    goal, premises, bool_vars = key
+    text = repr((goal, premises, tuple(sorted(bool_vars))))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass

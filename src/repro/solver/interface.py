@@ -18,11 +18,17 @@ two.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Optional, Set, Tuple
 
 from repro.lang import ast
 from repro.solver import formula as F
-from repro.solver.context import Model, QueryCache, entry_from_result, normalize_query
+from repro.solver.context import (
+    CacheEntry,
+    Model,
+    QueryCache,
+    entry_from_result,
+    normalize_query,
+)
 from repro.solver.encode import Encoder
 from repro.solver.profile import SolverProfile
 from repro.solver.smt import SatResult, SMTSolver
@@ -35,6 +41,11 @@ class ValidityChecker:
     typing a single program asks many identical questions (e.g. the loop
     fixpoint re-checks the body), and batch runs repeat whole premise
     sets across obligations.
+
+    ``answers`` is an optional persistent answer source (the check
+    stage passes a :class:`repro.verify.store.CheckAnswers`): a query the
+    cache misses is looked up there before it is solved, and every
+    fresh answer is recorded there.
     """
 
     def __init__(
@@ -42,9 +53,11 @@ class ValidityChecker:
         bool_vars: Optional[Set[str]] = None,
         cache: Optional[QueryCache] = None,
         witness: bool = False,
+        answers=None,
     ) -> None:
         self.bool_vars = set(bool_vars or ())
         self.cache = cache if cache is not None else QueryCache()
+        self.answers = answers
         self.queries = 0
         self.cache_hits = 0
         self.solve_calls = 0
@@ -52,6 +65,9 @@ class ValidityChecker:
         self.witness = witness
         #: The certificate behind the most recent valid answer, or None.
         self.last_certificate = None
+        #: With witnesses on: the certificate behind every valid answer
+        #: this checker relied on, by normalized query.
+        self.certificates: Dict[Tuple, object] = {}
         #: Inner-loop counters accumulated over every solve this checker ran.
         self.profile = SolverProfile()
 
@@ -87,22 +103,16 @@ class ValidityChecker:
         entry = self.cache.acquire(key, certified=self.witness)
         if entry is not None:
             self.cache_hits += 1
-            self.last_certificate = entry.certificate
-            return entry.valid, entry.model
-
-        try:
-            result, solver = self._solve(goal, premises, bool_vars)
-        except BaseException:
-            self.cache.cancel(key)
-            raise
-        self.solve_calls += 1
-        entry = entry_from_result(result)
-        if self.witness and entry.valid:
-            from repro.witness.emit import certificate_from_solver
-
-            entry.certificate = certificate_from_solver(solver)
+        else:
+            try:
+                entry = self._answer(key, goal, premises, bool_vars)
+            except BaseException:
+                self.cache.cancel(key)
+                raise
+            self.cache.store(key, entry)
         self.last_certificate = entry.certificate
-        self.cache.store(key, entry)
+        if self.witness and entry.certificate is not None:
+            self.certificates[key] = entry.certificate
         return entry.valid, entry.model
 
     def is_valid(
@@ -133,6 +143,30 @@ class ValidityChecker:
         return model
 
     # -- internals -------------------------------------------------------------
+
+    def _answer(
+        self,
+        key: Tuple,
+        goal: ast.Expr,
+        premises: Tuple[ast.Expr, ...],
+        bool_vars: AbstractSet[str],
+    ) -> CacheEntry:
+        """The stored answer to ``key`` if ``answers`` has one, else a
+        fresh solve, recorded in ``answers``."""
+        if self.answers is not None:
+            entry = self.answers.lookup(key)
+            if entry is not None:
+                return entry
+        result, solver = self._solve(goal, premises, bool_vars)
+        self.solve_calls += 1
+        entry = entry_from_result(result)
+        if self.witness and entry.valid:
+            from repro.witness.emit import certificate_from_solver
+
+            entry.certificate = certificate_from_solver(solver)
+        if self.answers is not None:
+            self.answers.record(key, entry)
+        return entry
 
     def _solve(
         self, goal: ast.Expr, premises: Tuple[ast.Expr, ...], bool_vars: AbstractSet[str]

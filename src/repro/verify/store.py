@@ -29,6 +29,11 @@ the solver) and written *after* a clean, complete run (early-exited or
 cancelled runs record nothing — a partially-discharged unit must not
 masquerade as a verdict).  Lookups only read; the rows a run was
 answered from get their ``last_used`` refreshed in one batch.
+
+The same table keeps the type checker's solver answers, for witnessed
+runs, under one check-stage fingerprint (:class:`CheckAnswers`): a
+program is admitted only when its type rules' side conditions hold, so
+those answers are trusted on the same terms as verdicts.
 """
 
 from __future__ import annotations
@@ -39,12 +44,15 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import faults as faults_mod
 from repro.lang import ast
+from repro.solver.context import CacheEntry, query_oid
+from repro.witness import Certificate, WitnessError, trim_certificate, validate
 
 #: Environment variable naming a store path; the CLI consults it when
 #: ``--store`` is not given, so ``REPRO_STORE=~/.cache/... repro verify``
@@ -99,6 +107,14 @@ def premise_fingerprint(
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+#: The fingerprint every check-stage row sits under.  A type-check
+#: query's canonical text carries its whole premise set, so one constant
+#: names them all; like every fingerprint it moves with the schema.
+CHECK_FINGERPRINT = hashlib.sha256(
+    repr((SCHEMA_VERSION, "check")).encode("utf-8")
+).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -201,6 +217,9 @@ class ObligationStore:
         #: requests degrade instead of failing; nothing persists.
         self.degraded = False
         self._memory: Dict[Tuple[str, str], StoredVerdict] = {}
+        #: Per thread: the ``(oid, fingerprint)`` rows touched inside a
+        #: :meth:`batched_touches` block, or None outside one.
+        self._touches = threading.local()
 
     def _run(self, action):
         """Run one sqlite action, retrying transient busy/locked errors
@@ -334,18 +353,81 @@ class ObligationStore:
                     witness = witness[: len(witness) // 2]
             return StoredVerdict(valid, status, arith, booleans, witness)
 
+    def validated(self, witness_text: str) -> Optional[Certificate]:
+        """Decode a stored certificate and re-check it with the trusted
+        kernel: the certificate if accepted (counted in
+        ``validated_hits``), else None (counted in ``witness_rejects``).
+        A stored ``valid`` answer is trusted only through this check."""
+        try:
+            certificate = Certificate.from_json(witness_text)
+            validate(certificate)
+        except WitnessError:
+            with self._lock:
+                self.counters.witness_rejects += 1
+            return None
+        with self._lock:
+            self.counters.validated_hits += 1
+        return certificate
+
+    def oids(self, fingerprint: str) -> List[str]:
+        """The oids stored under ``fingerprint``, sorted."""
+        with self._lock:
+            if self.degraded:
+                return sorted(oid for oid, fp in self._memory if fp == fingerprint)
+            try:
+                conn = self._connect()
+                rows = conn.execute(
+                    "SELECT oid FROM obligations WHERE fp = ? ORDER BY oid",
+                    (fingerprint,),
+                ).fetchall()
+            except (sqlite3.DatabaseError, OSError):
+                self._reset_connection()
+                return []
+        return [row[0] for row in rows]
+
     def touch(self, fingerprint: str, oids: Sequence[str]) -> None:
         """Set ``last_used`` (which drives :meth:`gc`) to now on the rows
         a verification run was answered from.
 
         One UPDATE batch and one commit for the whole run, retried on a
-        transient busy error.  A no-op for an empty list or a degraded
-        store; a write that still fails only leaves ``last_used`` stale.
+        transient busy error; inside a :meth:`batched_touches` block the
+        rows join that block's batch instead.  A no-op for an empty list
+        or a degraded store; a write that still fails only leaves
+        ``last_used`` stale.
         """
         if not oids:
             return
+        pending = getattr(self._touches, "rows", None)
+        if pending is not None:
+            pending.extend((oid, fingerprint) for oid in oids)
+            return
+        self._touch_rows([(oid, fingerprint) for oid in oids])
+
+    @contextmanager
+    def batched_touches(self) -> Iterator[None]:
+        """Collect this thread's :meth:`touch` calls and commit them as
+        one batch when the block exits.
+
+        :meth:`repro.pipeline.Pipeline.run` runs its stages in one, so
+        a run marks the rows its check and verify stages were answered
+        from in a single transaction.  A nested block joins the
+        outermost one.
+        """
+        if getattr(self._touches, "rows", None) is not None:
+            yield
+            return
+        self._touches.rows = []
+        try:
+            yield
+        finally:
+            rows, self._touches.rows = self._touches.rows, None
+            self._touch_rows(rows)
+
+    def _touch_rows(self, pairs: Sequence[Tuple[str, str]]) -> None:
+        if not pairs:
+            return
         now = time.time()
-        rows = [(now, oid, fingerprint) for oid in oids]
+        rows = [(now, oid, fingerprint) for oid, fingerprint in pairs]
         with self._lock:
             if self.degraded:
                 return
@@ -567,6 +649,67 @@ class ObligationStore:
         for flag, count in rows:
             out["valid" if flag else "refuted"] = count
         return out
+
+
+class CheckAnswers:
+    """The type checker's answers, kept as rows of an :class:`ObligationStore`.
+
+    The check stage's :class:`~repro.solver.interface.ValidityChecker`
+    consults :meth:`lookup` before each solve and reports each fresh
+    answer to :meth:`record`.  A row's oid is
+    :func:`~repro.solver.context.query_oid` of the normalized query and
+    its fingerprint is :data:`CHECK_FINGERPRINT`.
+
+    * A ``valid`` row is used only after the trusted kernel accepts its
+      certificate.  A rejected certificate is counted in
+      ``witness_rejects`` and the query is solved again; a valid row
+      without a certificate is solved again too.
+    * A refuted row is used as stored: a refutation can only make the
+      checker reject, the conservative direction.
+
+    :meth:`flush` writes the fresh answers, with their trimmed
+    certificates, in one transaction and touches the rows used.
+    """
+
+    def __init__(self, store: ObligationStore) -> None:
+        self.store = store
+        self._used: List[str] = []
+        self._fresh: List[Tuple] = []
+
+    def lookup(self, key: Tuple) -> Optional[CacheEntry]:
+        oid = query_oid(key)
+        verdict = self.store.lookup(oid, CHECK_FINGERPRINT)
+        if verdict is None:
+            return None
+        if verdict.valid:
+            certificate = None
+            if verdict.witness is not None:
+                certificate = self.store.validated(verdict.witness)
+            if certificate is None:
+                return None
+            entry = CacheEntry(True, "unsat", certificate=certificate)
+        else:
+            model = None
+            if verdict.arith_model is not None or verdict.bool_model is not None:
+                model = (verdict.arith_model or {}, verdict.bool_model or {})
+            entry = CacheEntry(False, verdict.status, model)
+        self._used.append(oid)
+        return entry
+
+    def record(self, key: Tuple, entry: CacheEntry) -> None:
+        oid = query_oid(key)
+        witness = None
+        if entry.certificate is not None:
+            core = trim_certificate(entry.certificate) or entry.certificate
+            witness = replace(core, oid=oid, fingerprint=CHECK_FINGERPRINT).to_json()
+        self._fresh.append(
+            (oid, "check", "", entry.valid, entry.status, entry.model, witness)
+        )
+
+    def flush(self) -> None:
+        """Write the fresh answers and touch the rows that were used."""
+        self.store.record_many(CHECK_FINGERPRINT, self._fresh)
+        self.store.touch(CHECK_FINGERPRINT, self._used)
 
 
 def resolve_store(value: object) -> Optional[ObligationStore]:

@@ -64,12 +64,7 @@ from repro.verify.discharge import (
 )
 from repro.verify.store import ObligationStore, resolve_store
 from repro.verify.vcgen import Obligation, VCGenerator
-from repro.witness import (
-    Certificate,
-    WitnessError,
-    trim_certificate,
-    validate as validate_witness,
-)
+from repro.witness import Certificate, trim_certificate
 
 #: The pseudo-unit id store-served verdicts are reported under in the
 #: event stream (they never reach a real discharge unit).
@@ -419,13 +414,9 @@ class ObligationChecker(DischargeEngine):
         fully-warm run still exposes every proof), and the validation is
         tallied on the store's counters either way.
         """
-        try:
-            certificate = Certificate.from_json(witness_text)
-            validate_witness(certificate)
-        except WitnessError:
-            store.counters.witness_rejects += 1
+        certificate = store.validated(witness_text)
+        if certificate is None:
             return False
-        store.counters.validated_hits += 1
         self.certificates[obligation.oid] = certificate
         # Already in stored form: served as read, never re-trimmed.
         self._stored_forms[id(certificate)] = (certificate, certificate)

@@ -3,8 +3,8 @@
 Covers the acceptance surface of the staged API: per-stage runs with
 timing/accounting, end-to-end verification of registry algorithms,
 batch mode with demonstrable stage-level memoization, refutation of a
-buggy SVT variant with a concrete counterexample, the legacy
-``repro.pipeline()`` wrapper, and the ``python -m repro pipeline`` CLI.
+buggy SVT variant with a concrete counterexample, a one-shot unmemoized
+run, and the ``python -m repro pipeline`` CLI.
 """
 
 import json
@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import repro
-from repro import Pipeline, PipelineError, pipeline
+from repro import Pipeline, PipelineError
 from repro.algorithms import get
 from repro.lang import ast
 from repro.pipeline import STAGES, source_hash
@@ -130,13 +130,42 @@ class TestEndToEnd:
         assert run.outcome.failures
         assert all(f.arith_model is not None for f in run.outcome.failures)
 
-    def test_legacy_wrapper_matches_staged_api(self):
+    def test_unmemoized_run_matches_memoized_run(self):
         config = SVT.verification_config()
-        legacy = pipeline(SVT.source, config)
+        one_shot = Pipeline(memoize=False).run(SVT.source, config=config)
         staged = Pipeline().run(SVT.source, config=config)
-        assert legacy.outcome.verified and staged.verified
-        assert legacy.target.body == staged.target.body
-        assert legacy.checked.aligned_only == staged.checked.aligned_only
+        assert one_shot.verified and staged.verified
+        assert one_shot.target.body == staged.target.body
+        assert one_shot.checked.aligned_only == staged.checked.aligned_only
+
+
+def test_package_imports_nothing_from_benchmarks():
+    """``repro`` runs outside a checkout: no module under ``src/repro``
+    imports the repository's ``benchmarks`` directory."""
+    import ast as pyast
+    from pathlib import Path
+
+    offenders = []
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in pyast.walk(pyast.parse(path.read_text(), str(path))):
+            if isinstance(node, pyast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, pyast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "benchmarks" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_pipeline_module_is_not_shadowed():
+    """``repro.pipeline`` is the module: no package attribute of that
+    name hides it from ``import repro.pipeline as P``."""
+    import repro.pipeline as P
+
+    assert P.Pipeline is Pipeline
+    assert P.__name__ == "repro.pipeline"
 
 
 class TestMemoization:

@@ -87,6 +87,9 @@ class TestInference:
         # The candidates share one query cache, and only alignments that
         # mention eta ask the solver for injectivity.
         assert len(solves) == 8
+        assert result.type_check_solves == len(solves)
+        assert result.verify_solves > 0
+        assert "8 type-check solves" in result.describe()
 
     def test_discovers_svt_annotation(self, monkeypatch):
         solves = _count_type_check_solves(monkeypatch)
@@ -106,6 +109,7 @@ class TestInference:
         }
         assert (result.candidates_tried, result.type_checked) == (7, 7)
         assert len(solves) == 0
+        assert result.type_check_solves == 0
 
     def test_no_annotation_for_broken_program(self):
         # size = 5, N = 1: per-query alignment -q^o[i] would cost

@@ -228,7 +228,7 @@ class TestBindCommand:
 
 class TestEndToEndConfigs:
     def test_unsafe_program_refuted_with_counterexample(self):
-        from repro import pipeline
+        from repro import Pipeline
 
         source = """
         function Leak(eps: num<0,0>, x: num<1,1>) returns y: num<0,0>
@@ -239,12 +239,13 @@ class TestEndToEndConfigs:
         }
         """
         # Alignment 5 is injective and type checks, but costs 5·eps > eps.
-        result = pipeline(source, VerificationConfig(assumptions=(parse_expr("eps > 0"),)))
+        config = VerificationConfig(assumptions=(parse_expr("eps > 0"),))
+        result = Pipeline(memoize=False).run(source, config=config)
         assert not result.outcome.verified
         assert result.outcome.failures
 
     def test_verified_program(self):
-        from repro import pipeline
+        from repro import Pipeline
 
         source = """
         function Ok(eps: num<0,0>, x: num<1,1>) returns y: num<0,0>
@@ -254,5 +255,31 @@ class TestEndToEndConfigs:
             return y;
         }
         """
-        result = pipeline(source, VerificationConfig(assumptions=(parse_expr("eps > 0"),)))
+        config = VerificationConfig(assumptions=(parse_expr("eps > 0"),))
+        result = Pipeline(memoize=False).run(source, config=config)
         assert result.outcome.verified
+
+
+class TestOidStability:
+    def test_registry_oids_are_pinned(self):
+        """Every obligation id of the registry (unroll for every program,
+        invariant for the correct ones), against a digest taken from the
+        dataclass-generated ``repr`` the ids were first defined over.
+        Stored verdicts are keyed by these ids, so any change to a node's
+        text orphans every store."""
+        import dataclasses
+        import hashlib
+
+        from repro.algorithms import all_specs
+        from repro.pipeline import spec_config
+        from repro.verify.verifier import iter_obligations
+
+        oids = []
+        for spec in all_specs():
+            oids += [ob.oid for ob in iter_obligations(spec.target(), spec_config(spec))]
+        for spec in all_specs(include_buggy=False):
+            config = dataclasses.replace(spec_config(spec), mode="invariant", bindings={})
+            oids += [ob.oid for ob in iter_obligations(spec.target(), config)]
+        assert len(oids) == 133
+        digest = hashlib.sha256("\n".join(oids).encode()).hexdigest()
+        assert digest == "626b3014b8a8ca44493d8e7579bda4a8e355ffcd5dfde8fe88501145054cd3ea"

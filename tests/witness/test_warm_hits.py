@@ -14,7 +14,7 @@ from repro.algorithms import get
 from repro.pipeline import Pipeline
 from repro.pipeline import spec_config
 from repro.solver.context import QueryCache
-from repro.verify.store import ObligationStore
+from repro.verify.store import CHECK_FINGERPRINT, ObligationStore
 from repro.verify.verifier import verify_target
 from repro.witness import Certificate, validate
 
@@ -125,12 +125,13 @@ class TestRejectedWitnessDegradesToReSolve:
         assert not plain.stages["verify"].cached
 
 
-def _rows(store_path):
+def _rows(store_path, check_stage=False):
+    """The verify-stage rows of a store, or with ``check_stage`` the
+    rows a witnessed check stage wrote."""
     conn = sqlite3.connect(os.fspath(store_path))
     try:
-        return sorted(
-            conn.execute("SELECT oid, fp, valid, status, witness FROM obligations")
-        )
+        rows = conn.execute("SELECT oid, fp, valid, status, witness FROM obligations")
+        return sorted(row for row in rows if (row[1] == CHECK_FINGERPRINT) == check_stage)
     finally:
         conn.close()
 
@@ -155,6 +156,15 @@ class TestSharedQueryCache:
         for _oid, _fp, valid, _status, witness in rows:
             assert valid and witness is not None
             validate(Certificate.from_json(witness))
+        # The type checker's answers sit beside them: every valid one
+        # with a certificate, though the plain run had cached it without.
+        check_rows = _rows(store_path, check_stage=True)
+        assert check_rows
+        for _oid, _fp, valid, status, witness in check_rows:
+            if valid:
+                validate(Certificate.from_json(witness))
+            else:
+                assert status == "sat" and witness is None
 
     @pytest.mark.parametrize("name, certificates", [("noisy_max", 6), ("svt", 12)])
     def test_type_checked_run_stores_a_private_caches_certificates(
