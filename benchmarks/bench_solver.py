@@ -17,7 +17,10 @@ propagation on a planted 3-SAT instance.
 Usage::
 
     PYTHONPATH=src:. python benchmarks/bench_solver.py [--quick] \
-        [--json-out BENCH_solver.json]
+        [--json-out BENCH_solver_quick.json]
+
+    # --json-out refuses (exit 2) a file that holds the guard's
+    # reference counters, such as the committed BENCH_solver.json.
 
     # CI regression guard: quick sweep, compare the (deterministic)
     # solve-call, round and pivot counters against the committed
@@ -626,6 +629,20 @@ def run_witness_guard(results: Dict) -> bool:
     return ok
 
 
+#: The sections of the committed reference file the guard reads.
+REFERENCE_SECTIONS = ("quick_reference", "serial_reference", "hard_reference")
+
+
+def holds_references(path: str) -> bool:
+    """True when ``path`` is a JSON object with a guard reference section."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        return False
+    return isinstance(payload, dict) and any(key in payload for key in REFERENCE_SECTIONS)
+
+
 def update_reference(reference_path: str) -> int:
     try:
         with open(reference_path) as handle:
@@ -740,6 +757,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.json_out and holds_references(args.json_out):
+        print(f"error: {args.json_out} holds the guard's reference counters "
+              f"({', '.join(REFERENCE_SECTIONS)}); write the results to another "
+              "file, e.g. --json-out BENCH_solver_quick.json", file=sys.stderr)
+        return 2
     if args.guard:
         _pin_hash_seed()
         return run_guard(args.guard)

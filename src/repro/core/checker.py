@@ -46,7 +46,7 @@ before it is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import preconditions
 from repro.core.environment import BOOL, NUM, TypeEnv, VarEntry, env_from_function
@@ -108,6 +108,10 @@ def uses_shadow_selector(program) -> bool:
 #: environment at this point, and the program counter.
 _State = Tuple[Tuple[ast.Command, ...], TypeEnv, str]
 
+#: A side condition: Ψ ⊨ ``goal`` under the environment at the program
+#: point that asks, and the error to raise when it fails.
+_Condition = Tuple[ast.Expr, TypeEnv, Callable[[], ShadowDPTypeError]]
+
 
 class TypeChecker(CFGWalker):
     """Checks one function (Section 4) and emits its transformed body.
@@ -140,10 +144,12 @@ class TypeChecker(CFGWalker):
         self.aligned_only = not uses_shadow_selector(self.cfg)
         # During loop-fixpoint iterations the environment is not yet
         # stable, so annotations referencing hat variables that are only
-        # promoted later look ill-typed; validity-style checks are
-        # suppressed ("lenient") until the env converges, then the body
-        # is re-checked strictly.
-        self.lenient = False
+        # promoted later look ill-typed.  While a fixpoint runs, the
+        # distance side conditions (cons heads, T-Laplace injectivity)
+        # are recorded here in program order instead of asked; the
+        # conditions of the converged iteration are the loop's (see
+        # ``on_loop``).  None outside every loop fixpoint.
+        self._deferred: Optional[List[_Condition]] = None
 
     # -- public API --------------------------------------------------------------
 
@@ -193,6 +199,16 @@ class TypeChecker(CFGWalker):
         if goal == ast.FALSE:
             return False
         return self.validity.is_valid(goal, self._premises(goal), env.bool_vars())
+
+    def _require(
+        self, goal: ast.Expr, env: TypeEnv, error: Callable[[], ShadowDPTypeError]
+    ) -> None:
+        """Ψ ⊨ ``goal`` or raise ``error()``; inside a loop fixpoint the
+        condition is recorded for the loop to ask once it converges."""
+        if self._deferred is not None:
+            self._deferred.append((goal, env, error))
+        elif not self._provably(goal, env):
+            raise error()
 
     # -- the dataflow pass ---------------------------------------------------------
 
@@ -303,16 +319,16 @@ class TypeChecker(CFGWalker):
             # A starred/don't-care element distance places no constraint
             # on appended heads (paper return types like list num⟨0,−⟩).
             return
-        goal = ast.BinOp("==", actual, declared)
-        if self.lenient:
-            return
-        if not self._provably(goal, env):
-            raise ShadowDPTypeError(
+        self._require(
+            ast.BinOp("==", actual, declared),
+            env,
+            lambda: ShadowDPTypeError(
                 f"in `{cmd.name} := {pretty_expr(cmd.expr)}`: head has {which} "
                 f"distance {pretty_expr(actual)}, list elements require "
                 f"{pretty_expr(declared)}",
                 reason="cons-distance",
-            )
+            ),
+        )
 
     def _check_bool_assign(self, cmd: ast.Assign, env: TypeEnv, pc: str, typer: ExprTyper) -> Tuple[ast.Command, TypeEnv]:
         typer.check_boolean(cmd.expr)
@@ -481,8 +497,6 @@ class TypeChecker(CFGWalker):
         return ast.seq(*freeze, cmd), new_env
 
     def _check_injectivity(self, cmd: ast.Sample, env: TypeEnv) -> None:
-        if self.lenient:
-            return
         eta = ast.Var(cmd.name)
         eta1, eta2 = ast.Var(f"{cmd.name}%1"), ast.Var(f"{cmd.name}%2")
         if ast.substitute(cmd.align, {eta: eta1}) == cmd.align:
@@ -497,12 +511,15 @@ class TypeChecker(CFGWalker):
             ast.BinOp("!=", lhs, rhs),
             ast.BinOp("==", eta1, eta2),
         )
-        if not self._provably(goal, env):
-            raise ShadowDPTypeError(
+        self._require(
+            goal,
+            env,
+            lambda: ShadowDPTypeError(
                 f"alignment {pretty_expr(cmd.align)} for {cmd.name!r} is not "
                 f"injective (rule T-Laplace)",
                 reason="injectivity",
-            )
+            ),
+        )
 
     def _check_starred_lists_alignable(self, env: TypeEnv) -> None:
         """When a selector can pick the shadow version, the hat arrays of
@@ -611,12 +628,14 @@ class TypeChecker(CFGWalker):
         # the joined environment stabilises (lattice height 2 ⇒ fast).
         loop_env = env
         in_body = simplifier_under(term.cond, True)
-        was_lenient = self.lenient
-        self.lenient = True
+        outer = self._deferred
         try:
             for _ in range(_MAX_FIXPOINT_ITERATIONS):
+                self._deferred = conditions = []
                 body_in = loop_env.map_distances(in_body)
-                _, body_env = self._check_region(body_cfg, body_cfg.entry, None, body_in, pc_inner)
+                body_checked, body_env = self._check_region(
+                    body_cfg, body_cfg.entry, None, body_in, pc_inner
+                )
                 joined = body_env.join(env)
                 if joined == loop_env:
                     break
@@ -626,11 +645,16 @@ class TypeChecker(CFGWalker):
                     "loop distance fixpoint did not converge", reason="fixpoint"
                 )
         finally:
-            self.lenient = was_lenient
-        # Strict pass over the stabilised environment: this is the run
-        # whose solver checks count and whose output is emitted.
-        body_in = loop_env.map_distances(in_body)
-        body_checked, body_env = self._check_region(body_cfg, body_cfg.entry, None, body_in, pc_inner)
+            self._deferred = outer
+        # The converged iteration checked the body on the stabilised
+        # environment: its output is emitted and its recorded side
+        # conditions, in program order, are the loop's.  An enclosing
+        # fixpoint asks them only once it converges itself.
+        if outer is None:
+            for condition in conditions:
+                self._require(*condition)
+        else:
+            outer.extend(conditions)
 
         entry_fix = transition_commands(env_entry, loop_env, pc_inner)
         body_fix = transition_commands(body_env, loop_env, pc_inner)

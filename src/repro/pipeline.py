@@ -263,8 +263,11 @@ class Pipeline:
     :meth:`QueryCache.acquire`).
 
     **The store.**  With ``config.store`` set, :meth:`run` opens the
-    store once for both stages and marks every row the run was answered
-    from in one commit.  With ``config.witness`` on as well, the
+    store once for both stages, inside one
+    :meth:`~repro.verify.store.ObligationStore.run_scope`: the rows the
+    run was answered from are marked in one commit, and the trusted
+    kernel checks each distinct stored proof once.  With
+    ``config.witness`` on as well, the
     ``check`` stage answers type-check queries from the store's
     check-stage rows, each valid one only after the trusted kernel
     accepts its certificate, and writes fresh answers back (see
@@ -500,7 +503,7 @@ class Pipeline:
         if owned:
             config = dataclasses.replace(config, store=store)
         try:
-            with store.batched_touches() if store is not None else nullcontext():
+            with store.run_scope() if store is not None else nullcontext():
                 return self._run(program, config, stop_after, on_event)
         finally:
             if owned:

@@ -210,4 +210,4 @@ def relevant_vars(exprs: Iterable[ast.Expr]) -> Set[str]:
     names: Set[str] = set()
     for expr in exprs:
         names |= set(ast.free_vars(expr))
-    return {n for n in names if "#" not in n or True}
+    return names

@@ -28,7 +28,9 @@ The store is consulted *before* any unit is planned (hits never reach
 the solver) and written *after* a clean, complete run (early-exited or
 cancelled runs record nothing — a partially-discharged unit must not
 masquerade as a verdict).  Lookups only read; the rows a run was
-answered from get their ``last_used`` refreshed in one batch.
+answered from get their ``last_used`` refreshed in one batch, and only
+those last refreshed more than :data:`TOUCH_INTERVAL` ago, so a warm
+run over recently used rows writes nothing.
 
 The same table keeps the type checker's solver answers, for witnessed
 runs, under one check-stage fingerprint (:class:`CheckAnswers`): a
@@ -63,6 +65,12 @@ STORE_ENV_VAR = "REPRO_STORE"
 #: any change to the table shape or the meaning of stored fields; a
 #: mismatched database is cleared, never reinterpreted.
 SCHEMA_VERSION = 2
+
+#: Seconds a ``last_used`` stamp stays fresh: a run answered from a row
+#: refreshes the stamp only when it is older than this, so back-to-back
+#: warm runs leave the file untouched.  :meth:`ObligationStore.gc` widens
+#: its age cutoff by the same interval.
+TOUCH_INTERVAL = 3600.0
 
 _TABLE = """
 CREATE TABLE IF NOT EXISTS obligations (
@@ -217,9 +225,10 @@ class ObligationStore:
         #: requests degrade instead of failing; nothing persists.
         self.degraded = False
         self._memory: Dict[Tuple[str, str], StoredVerdict] = {}
-        #: Per thread: the ``(oid, fingerprint)`` rows touched inside a
-        #: :meth:`batched_touches` block, or None outside one.
-        self._touches = threading.local()
+        #: Per thread, inside a :meth:`run_scope` block: ``rows``, the
+        #: ``(oid, fingerprint)`` pairs touched, and ``proofs``, the
+        #: proofs the kernel accepted; both None outside one.
+        self._scope = threading.local()
 
     def _run(self, action):
         """Run one sqlite action, retrying transient busy/locked errors
@@ -357,10 +366,24 @@ class ObligationStore:
         """Decode a stored certificate and re-check it with the trusted
         kernel: the certificate if accepted (counted in
         ``validated_hits``), else None (counted in ``witness_rejects``).
-        A stored ``valid`` answer is trusted only through this check."""
+        A stored ``valid`` answer is trusted only through this check.
+
+        Every row is decoded.  Inside a :meth:`run_scope` block the
+        kernel runs once per distinct proof: the members of a conjoined
+        chunk share one proof under different oids, and a row whose
+        proof (:meth:`Certificate.proof`) the kernel already accepted
+        in this run is served without replaying it again.
+        """
+        accepted = getattr(self._scope, "proofs", None)
         try:
             certificate = Certificate.from_json(witness_text)
-            validate(certificate)
+            if accepted is None:
+                validate(certificate)
+            else:
+                proof = certificate.proof()
+                if proof not in accepted:
+                    validate(certificate)
+                    accepted.add(proof)
         except WitnessError:
             with self._lock:
                 self.counters.witness_rejects += 1
@@ -389,45 +412,53 @@ class ObligationStore:
         """Set ``last_used`` (which drives :meth:`gc`) to now on the rows
         a verification run was answered from.
 
-        One UPDATE batch and one commit for the whole run, retried on a
-        transient busy error; inside a :meth:`batched_touches` block the
-        rows join that block's batch instead.  A no-op for an empty list
-        or a degraded store; a write that still fails only leaves
+        Only rows whose stamp is older than :data:`TOUCH_INTERVAL` are
+        rewritten: one UPDATE batch and one commit for the whole run,
+        retried on a transient busy error, that leaves the file as it
+        was when every row is fresh.  Inside a :meth:`run_scope` block
+        the rows join that block's batch instead.  A no-op for an empty
+        list or a degraded store; a write that still fails only leaves
         ``last_used`` stale.
         """
         if not oids:
             return
-        pending = getattr(self._touches, "rows", None)
+        pending = getattr(self._scope, "rows", None)
         if pending is not None:
             pending.extend((oid, fingerprint) for oid in oids)
             return
         self._touch_rows([(oid, fingerprint) for oid in oids])
 
     @contextmanager
-    def batched_touches(self) -> Iterator[None]:
-        """Collect this thread's :meth:`touch` calls and commit them as
-        one batch when the block exits.
+    def run_scope(self) -> Iterator[None]:
+        """Scope one verification run on this thread.
 
-        :meth:`repro.pipeline.Pipeline.run` runs its stages in one, so
-        a run marks the rows its check and verify stages were answered
-        from in a single transaction.  A nested block joins the
-        outermost one.
+        The block's :meth:`touch` calls are committed as one batch when
+        it exits, and :meth:`validated` runs the kernel once per
+        distinct proof inside it.  :meth:`repro.pipeline.Pipeline.run`
+        runs its stages in one, so a run marks the rows its check and
+        verify stages were answered from in a single transaction.  A
+        nested block joins the outermost one; nothing it collects
+        outlives it, so requests sharing a store share no accepted
+        proof.
         """
-        if getattr(self._touches, "rows", None) is not None:
+        scope = self._scope
+        if getattr(scope, "rows", None) is not None:
             yield
             return
-        self._touches.rows = []
+        scope.rows, scope.proofs = [], set()
         try:
             yield
         finally:
-            rows, self._touches.rows = self._touches.rows, None
+            rows = scope.rows
+            scope.rows = scope.proofs = None
             self._touch_rows(rows)
 
     def _touch_rows(self, pairs: Sequence[Tuple[str, str]]) -> None:
         if not pairs:
             return
         now = time.time()
-        rows = [(now, oid, fingerprint) for oid, fingerprint in pairs]
+        stale = now - TOUCH_INTERVAL
+        rows = [(now, oid, fingerprint, stale) for oid, fingerprint in pairs]
         with self._lock:
             if self.degraded:
                 return
@@ -436,7 +467,8 @@ class ObligationStore:
 
                 def write():
                     conn.executemany(
-                        "UPDATE obligations SET last_used = ? WHERE oid = ? AND fp = ?",
+                        "UPDATE obligations SET last_used = ?"
+                        " WHERE oid = ? AND fp = ? AND last_used < ?",
                         rows,
                     )
                     conn.commit()
@@ -570,14 +602,18 @@ class ObligationStore:
         """Drop stale entries; returns how many were removed.
 
         ``max_age_days`` removes entries not used since the cutoff;
-        ``max_entries`` then keeps only the most recently used N.
+        ``max_entries`` then keeps only the most recently used N.  A
+        run refreshes ``last_used`` only once it is
+        :data:`TOUCH_INTERVAL` old, so the age cutoff is widened by that
+        interval (every row used within ``max_age_days`` survives) and
+        the most-recently-used order is exact only to within it.
         """
         removed = 0
         with self._lock:
             try:
                 conn = self._connect()
                 if max_age_days is not None:
-                    cutoff = time.time() - max_age_days * 86400.0
+                    cutoff = time.time() - max_age_days * 86400.0 - TOUCH_INTERVAL
                     cursor = conn.execute(
                         "DELETE FROM obligations WHERE last_used < ?", (cutoff,)
                     )

@@ -90,6 +90,13 @@ class Certificate:
         counts["assumptions"] = len(self.assumptions)
         return counts
 
+    def proof(self) -> Tuple:
+        """The proof as one hashable value: the assumptions, the events
+        and the atom table, without the oid and fingerprint it is
+        attached to.  Two certificates carry the same proof exactly when
+        these values are equal."""
+        return self.assumptions, self.events, tuple(sorted(self.atoms.items()))
+
     # -- canonical JSON --------------------------------------------------------
 
     def to_json(self) -> str:

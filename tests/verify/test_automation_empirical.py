@@ -181,7 +181,7 @@ class TestCLI:
 
         assert main(["check", self._write(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "type checks [shadow execution; 7 solver queries, 3 solves]" in out
+        assert "type checks [shadow execution; 5 solver queries, 3 solves]" in out
 
     def test_transform(self, tmp_path, capsys):
         from repro.cli import main

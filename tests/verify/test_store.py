@@ -22,6 +22,7 @@ from repro.pipeline import Pipeline, spec_config
 from repro.verify.store import (
     SCHEMA_VERSION,
     STORE_ENV_VAR,
+    TOUCH_INTERVAL,
     ObligationStore,
     StoredVerdict,
     default_store_path,
@@ -192,11 +193,40 @@ class TestMaintenance:
         assert store.entry_count() == 4
 
     def test_gc_by_age(self, tmp_path):
-        store = ObligationStore(os.fspath(tmp_path / "store.sqlite"))
+        path = os.fspath(tmp_path / "store.sqlite")
+        store = ObligationStore(path)
         self._seed(store, 5)
-        assert store.gc(max_age_days=0.0) == 5
-        assert store.entry_count() == 0
+        # A stamp is refreshed only once it is TOUCH_INTERVAL old, so the
+        # cutoff sits that much further back than max_age_days.
+        assert store.gc(max_age_days=0.0) == 0
+        day = 86400.0
+        now = time.time()
+        _sql(path, f"UPDATE obligations SET last_used = {now - day - 2 * TOUCH_INTERVAL}"
+                   " WHERE oid IN ('oid0', 'oid1')")
+        _sql(path, f"UPDATE obligations SET last_used = {now - day - TOUCH_INTERVAL / 2}"
+                   " WHERE oid = 'oid2'")
         assert store.gc(max_age_days=1000.0) == 0
+        assert store.gc(max_age_days=1.0) == 2
+        assert sorted(_last_used(path)) == ["oid2", "oid3", "oid4"]
+        assert store.gc(max_age_days=0.0) == 1
+        assert store.entry_count() == 2
+
+    def test_gc_keeps_every_row_used_within_max_age(self, tmp_path, monkeypatch):
+        path = os.fspath(tmp_path / "store.sqlite")
+        clock = [time.time()]
+        monkeypatch.setattr(time, "time", lambda: clock[0])
+        cold = _run("svt", path)
+        days = 2.0
+        # Used again before its stamp goes stale: the stamp is kept.
+        clock[0] += TOUCH_INTERVAL / 2
+        used = clock[0]
+        assert _run("svt", path).store["hits"] == cold.obligations_total
+        store = ObligationStore(path)
+        clock[0] = used + days * 86400.0 - 1.0
+        assert store.gc(max_age_days=days) == 0
+        assert store.entry_count() == cold.obligations_total
+        clock[0] = used + days * 86400.0 + TOUCH_INTERVAL
+        assert store.gc(max_age_days=days) == cold.obligations_total
 
     def test_clear_and_breakdown(self, tmp_path):
         store = ObligationStore(os.fspath(tmp_path / "store.sqlite"))
@@ -251,8 +281,8 @@ def _fingerprint(path):
 
 
 class TestLastUsed:
-    """A verification run refreshes ``last_used`` on the rows it was
-    answered from in one write transaction; lookups only read."""
+    """A verification run refreshes ``last_used`` on the stale rows it
+    was answered from in one write transaction; lookups only read."""
 
     @pytest.fixture(autouse=True)
     def _clean_faults(self):
@@ -295,6 +325,35 @@ class TestLastUsed:
         store = ObligationStore(path)
         assert store.gc(max_age_days=1) == 0
         assert store.entry_count() == cold.obligations_total
+
+    def test_warm_run_over_fresh_rows_leaves_the_file_unchanged(self, tmp_path):
+        path = os.fspath(tmp_path / "store.sqlite")
+        spec = get("svt")
+        config = _config(spec_config(spec), store=path, witness=True)
+        Pipeline().run(spec.source, config=config)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        warm = Pipeline().run(spec.source, config=config)
+        assert warm.outcome.solve_calls == 0
+        assert warm.outcome.store["validated_hits"] == warm.outcome.obligations_total
+        assert warm.stages["check"].solver_stats["store"]["hits"] > 0
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
+    def test_only_stale_rows_are_refreshed(self, tmp_path):
+        path = os.fspath(tmp_path / "store.sqlite")
+        cold = _run("svt", path)
+        now = time.time()
+        stale, fresh = cold.oids[::2], cold.oids[1::2]
+        fresh_stamp = now - TOUCH_INTERVAL / 2
+        _sql(path, f"UPDATE obligations SET last_used = {now - 2 * TOUCH_INTERVAL}")
+        _sql(path, f"UPDATE obligations SET last_used = {fresh_stamp} WHERE oid IN"
+                   f" ({', '.join(repr(oid) for oid in fresh)})")
+        warm = _run("svt", path)
+        assert warm.store["hits"] == cold.obligations_total
+        stamps = _last_used(path)
+        assert all(stamps[oid] >= now for oid in stale)
+        assert all(stamps[oid] == fresh_stamp for oid in fresh)
 
     def test_degraded_store_touch_does_nothing(self, tmp_path):
         path = os.fspath(tmp_path / "store.sqlite")

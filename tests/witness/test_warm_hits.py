@@ -185,3 +185,99 @@ class TestSharedQueryCache:
         )
         assert private.witnesses == certificates
         assert _rows(tmp_path / "shared.sqlite") == _rows(tmp_path / "private.sqlite")
+
+
+def _kernel_runs(monkeypatch):
+    """A live list of the certificates the trusted kernel checks on
+    store hits."""
+    import repro.verify.store as store_mod
+
+    runs = []
+    original = store_mod.validate
+
+    def counting(certificate):
+        runs.append(certificate)
+        return original(certificate)
+
+    monkeypatch.setattr(store_mod, "validate", counting)
+    return runs
+
+
+class TestOneKernelCheckPerProof:
+    """Within one pipeline run the kernel checks each distinct stored
+    proof once; every row is still decoded, and a row whose proof differs
+    is checked on its own."""
+
+    def _cold(self, spec, store):
+        config = dataclasses.replace(spec_config(spec), store=store, witness=True)
+        cold = Pipeline().run(spec.source, config=config)
+        assert cold.outcome.verified
+        return config, cold
+
+    def test_shared_proofs_are_checked_once_per_run(self, tmp_path, monkeypatch):
+        spec = get("svt")
+        store = ObligationStore(os.fspath(tmp_path / "store.sqlite"))
+        config, cold = self._cold(spec, store)
+        proofs = {
+            Certificate.from_json(witness).proof()
+            for *_, witness in _rows(store.path) + _rows(store.path, check_stage=True)
+            if witness is not None
+        }
+        runs = _kernel_runs(monkeypatch)
+        for _ in range(2):
+            del runs[:]
+            warm = Pipeline().run(spec.source, config=config)
+            hits = (warm.outcome.store["validated_hits"]
+                    + warm.stages["check"].solver_stats["store"]["validated_hits"])
+            assert warm.outcome.solve_calls == 0
+            assert warm.outcome.store["witness_rejects"] == 0
+            assert hits == cold.outcome.obligations_total + len(cold.checked.certificates)
+            # Nothing carries over between runs sharing one store.
+            assert len(runs) == len(proofs) < hits
+
+    def test_tampered_row_sharing_a_proof_is_rejected(self, tmp_path, monkeypatch):
+        spec = get("svt")
+        store_path = tmp_path / "store.sqlite"
+        config, cold = self._cold(spec, os.fspath(store_path))
+        rows = {oid: witness for oid, _, _, _, witness in _rows(store_path)}
+        by_proof = {}
+        for oid in cold.outcome.oids:
+            by_proof.setdefault(Certificate.from_json(rows[oid]).proof(), []).append(oid)
+        served, tampered = next(oids for oids in by_proof.values() if len(oids) > 1)[:2]
+        # Same assumptions and atoms as the proof served first, no events:
+        # decodable, and the kernel must reject it.
+        certificate = Certificate.from_json(rows[tampered])
+        certificate.events = ()
+        conn = sqlite3.connect(os.fspath(store_path))
+        with conn:
+            conn.execute(
+                "UPDATE obligations SET witness = ? WHERE oid = ?",
+                (certificate.to_json(), tampered),
+            )
+        conn.close()
+
+        runs = _kernel_runs(monkeypatch)
+        warm = Pipeline().run(spec.source, config=config)
+        assert warm.outcome.verified
+        assert warm.outcome.store["witness_rejects"] == 1
+        assert warm.outcome.store["validated_hits"] == cold.outcome.obligations_total - 1
+        assert warm.outcome.solve_calls >= 1
+        assert any(run.oid == tampered for run in runs)
+        assert served in warm.outcome.oids
+        # Re-solved: the row holds a certificate the kernel accepts again.
+        rewritten = dict((oid, w) for oid, _, _, _, w in _rows(store_path))[tampered]
+        validate(Certificate.from_json(rewritten))
+
+    def test_witness_corrupt_is_rejected_inside_a_run(self, tmp_path):
+        spec = get("svt")
+        config, cold = self._cold(spec, os.fspath(tmp_path / "store.sqlite"))
+        hits = cold.outcome.obligations_total + len(cold.checked.certificates)
+        for index in range(1, hits + 1):
+            faults.install(f"witness-corrupt@{index}")
+            warm = Pipeline().run(spec.source, config=config)
+            rejects = (warm.outcome.store["witness_rejects"]
+                       + warm.stages["check"].solver_stats["store"]["witness_rejects"])
+            assert warm.outcome.verified
+            assert rejects == 1, index
+            faults.install(None)
+            faults.reset()
