@@ -1,42 +1,35 @@
-"""Solver-stack benchmark: obligation discharge over the registry.
+"""Solver counter guard: obligation discharge over a quick registry sweep.
 
-Measures, over the registry algorithms, the cost of discharging all
-verification obligations: obligations grouped by shared path prefix,
-each group discharged under one pushed :class:`SolverContext`
-(conjoined goals, model-guided refinement), refuted checks returning
-their model from the refuting solve, and one normalized-query
-:class:`QueryCache` shared across the whole sweep.
-
-Reported per workload and in total: entailment queries asked, DPLL(T)
-solve calls actually executed, DPLL(T) rounds and simplex pivots,
-queries per second, and wall-clock time.  A separate **microbench**
-section exercises the inner loops in isolation: term-layer interning
-throughput, simplex pivoting on a difference chain, and CDCL
-propagation on a planted 3-SAT instance.
+The sweep discharges every verification obligation of a few registry
+programs through one shared normalized-query :class:`QueryCache`:
+``noisy_max``, ``svt`` and ``bad_svt_no_budget`` in the unroll regime,
+``svt`` in the invariant regime, and annotation-free Houdini on
+``noisy_max``.  With a pinned hash seed its counters (queries asked,
+cache hits, DPLL(T) solve calls, rounds, simplex pivots) are
+deterministic for a given code state, so the guard compares them with
+the references committed in ``BENCH_solver.json`` instead of timing
+anything.  It also runs the **hard row** (``num_svt`` in the Fix-ε
+regime, the registry's slowest program) outside the sweep totals, a
+cold/warm pass through a persistent store, and a witnessed/plain
+comparison with trusted revalidation of the emitted certificates.
 
 Usage::
 
-    PYTHONPATH=src:. python benchmarks/bench_solver.py [--quick] \
-        [--json-out BENCH_solver_quick.json]
+    # CI regression guard: fail on >20% growth of the sweep's solve
+    # calls, rounds or pivots and of the hard row's rounds or pivots;
+    # on any change of the sweep's queries, cache hits or solve calls;
+    # on a warm-store solve; on witness emission that moves a counter,
+    # costs more than WITNESS_OVERHEAD_LIMIT or fails revalidation.
+    PYTHONPATH=src python benchmarks/bench_solver.py --guard BENCH_solver.json
 
-    # --json-out refuses (exit 2) a file that holds the guard's
-    # reference counters, such as the committed BENCH_solver.json.
-
-    # CI regression guard: quick sweep, compare the (deterministic)
-    # solve-call, round and pivot counters against the committed
-    # reference, and the hard row's rounds and pivots against its own;
-    # fail on >20% regression.
-    PYTHONPATH=src:. python benchmarks/bench_solver.py --guard BENCH_solver.json
-
-    # Refresh the committed reference counters in place.
-    PYTHONPATH=src:. python benchmarks/bench_solver.py \
+    # After an intended solver change: refresh the committed references
+    # (quick_reference, serial_reference, hard_reference) in place.
+    PYTHONPATH=src python benchmarks/bench_solver.py \
         --update-reference BENCH_solver.json
 
-``--quick`` runs a small subset (seconds, for CI smoke); the default
-sweep covers every registry algorithm in the unroll regime, the correct
-ones in the invariant regime, and an annotation-free Houdini run.  Both
-also time the **hard row** — ``num_svt`` in the Fix-ε regime, the
-registry's slowest program — outside the sweep totals.
+Timings live in ``perfbench/``; the numbers of the retired full-registry
+sweep and inner-loop microbenchmarks sit under ``history`` in
+``BENCH_solver.json``.
 """
 
 from __future__ import annotations
@@ -45,29 +38,22 @@ import argparse
 import dataclasses
 import json
 import os
-import random
+import sqlite3
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional
 
+from repro.algorithms import get
 from repro.lang import ast
-from repro.solver import formula as F
-from repro.solver import intern
-from repro.solver.delta import DeltaRat
-from repro.solver.linear import LinExpr
-from repro.solver.profile import SolverProfile
-from repro.solver.sat import CDCLSolver
-from repro.solver.simplex import Simplex
+from repro.pipeline import spec_config
 from repro.solver.context import QueryCache
 from repro.target.transform import TargetProgram
 from repro.verify.houdini import infer_invariants
 from repro.verify.verifier import VerificationConfig, verify_target
-
-from repro.algorithms import all_specs, get
-from repro.pipeline import spec_config
-
+from repro.witness import Certificate, validate
 
 # ---------------------------------------------------------------------------
 # Workloads
@@ -84,124 +70,79 @@ def _strip_invariants(cmd: ast.Command) -> ast.Command:
     return cmd
 
 
-def _bare_target(name: str) -> TargetProgram:
-    target = get(name).target()
+def _bare_target(target: TargetProgram) -> TargetProgram:
     return TargetProgram(
         target.function, _strip_invariants(target.body), target.cost_bound, target.aligned_only
     )
 
 
-#: The quick-mode unroll sweep (CI smoke and the counter guard).
+def _unroll(spec, cache: QueryCache):
+    config = dataclasses.replace(spec_config(spec), profile=True)
+    outcome = verify_target(spec.target(), config, cache=cache)
+    return outcome.solver_stats(), outcome.profile
+
+
+def _invariant(spec, cache: QueryCache):
+    config = VerificationConfig(
+        mode="invariant", assumptions=spec.assumption_exprs(), profile=True
+    )
+    outcome = verify_target(spec.target(), config, cache=cache)
+    return outcome.solver_stats(), outcome.profile
+
+
+def _houdini(spec, cache: QueryCache):
+    """Houdini from no invariants; its stats cover every pruning round
+    and the final check, and it reports no rounds or pivots."""
+    config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
+    result = infer_invariants(_bare_target(spec.target()), config, peel=1, cache=cache)
+    return result.solver_stats, None
+
+
+#: The unroll programs of the sweep; the warm-store and witness legs
+#: sweep them too.
 QUICK_UNROLL_NAMES = ("noisy_max", "svt", "bad_svt_no_budget")
 
+#: The sweep in order, over one query cache: each workload's programs
+#: and how each program runs.
+SWEEP = (
+    ("registry-unroll", QUICK_UNROLL_NAMES, _unroll),
+    ("registry-invariant", ("svt",), _invariant),
+    ("houdini", ("noisy_max",), _houdini),
+)
 
-def run_workloads(quick: bool) -> Dict:
-    unroll_names = (
-        list(QUICK_UNROLL_NAMES)
-        if quick
-        else [s.name for s in all_specs()]
-    )
-    invariant_names = (
-        ["svt"] if quick else [s.name for s in all_specs(include_buggy=False)]
-    )
-    houdini_names = ["noisy_max"]
 
-    results: Dict = {"workloads": {}, "quick": quick, "nproc": os.cpu_count()}
-
-    def record(
-        workload: str,
-        queries: int,
-        hits: int,
-        solves: int,
-        seconds: float,
-        pivots: Optional[int] = None,
-        rounds: Optional[int] = None,
-    ) -> None:
-        entry = results["workloads"][workload] = {
-            "queries": queries,
-            "cache_hits": hits,
-            "solve_calls": solves,
-            "seconds": round(seconds, 3),
-            "queries_per_second": round(queries / seconds, 2) if seconds > 0 else None,
-        }
-        if pivots is not None:
-            entry["pivots"] = pivots
-        if rounds is not None:
-            entry["rounds"] = rounds
-
+def run_workloads() -> Dict:
     cache = QueryCache()
+    workloads: Dict[str, Dict] = {}
+    for workload, names, run in SWEEP:
+        entry = dict.fromkeys(("queries", "cache_hits", "solve_calls"), 0)
+        start = time.perf_counter()
+        for name in names:
+            stats, profile = run(get(name), cache)
+            for key in ("queries", "cache_hits", "solve_calls"):
+                entry[key] += stats[key]
+            if profile is not None:
+                for key in ("pivots", "rounds"):
+                    entry[key] = entry.get(key, 0) + profile[key]
+        entry["seconds"] = round(time.perf_counter() - start, 3)
+        workloads[workload] = entry
 
-    queries = hits = solves = pivots = rounds = 0
-    start = time.perf_counter()
-    for name in unroll_names:
-        spec = get(name)
-        config = spec_config(spec)
-        config.profile = True
-        outcome = verify_target(spec.target(), config, cache=cache)
-        stats = outcome.solver_stats()
-        queries += stats["queries"]
-        hits += stats["cache_hits"]
-        solves += stats["solve_calls"]
-        pivots += outcome.profile["pivots"]
-        rounds += outcome.profile["rounds"]
-    record(
-        "registry-unroll", queries, hits, solves,
-        time.perf_counter() - start, pivots=pivots, rounds=rounds,
-    )
-
-    queries = hits = solves = pivots = rounds = 0
-    start = time.perf_counter()
-    for name in invariant_names:
-        spec = get(name)
-        config = VerificationConfig(
-            mode="invariant", assumptions=spec.assumption_exprs(), profile=True
-        )
-        outcome = verify_target(spec.target(), config, cache=cache)
-        stats = outcome.solver_stats()
-        queries += stats["queries"]
-        hits += stats["cache_hits"]
-        solves += stats["solve_calls"]
-        pivots += outcome.profile["pivots"]
-        rounds += outcome.profile["rounds"]
-    record(
-        "registry-invariant", queries, hits, solves,
-        time.perf_counter() - start, pivots=pivots, rounds=rounds,
-    )
-
-    queries = hits = solves = 0
-    start = time.perf_counter()
-    for name in houdini_names:
-        spec = get(name)
-        config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
-        result = infer_invariants(_bare_target(name), config, peel=1, cache=cache)
-        stats = result.solver_stats  # whole run: pruning rounds + final
-        queries += stats["queries"]
-        hits += stats["cache_hits"]
-        solves += stats["solve_calls"]
-    record("houdini", queries, hits, solves, time.perf_counter() - start)
-
-    # -- persistent store: cold vs warm (registry unroll sweep) ----------------
-    results["warm_store"] = run_warm_store(unroll_names)
-
-    # -- proof witnesses: emission cost + trusted revalidation -----------------
-    results["witness"] = run_witness(unroll_names)
-
-    # -- totals ---------------------------------------------------------------
-    workloads = results["workloads"].values()
     totals: Dict = {
-        key: sum(w.get(key, 0) for w in workloads)
+        key: sum(w.get(key, 0) for w in workloads.values())
         for key in ("queries", "cache_hits", "solve_calls", "pivots", "rounds")
     }
-    totals["seconds"] = round(sum(w["seconds"] for w in workloads), 3)
-    results["totals"] = totals
+    totals["seconds"] = round(sum(w["seconds"] for w in workloads.values()), 3)
+    return {
+        "workloads": workloads,
+        "totals": totals,
+        "warm_store": run_warm_store(QUICK_UNROLL_NAMES),
+        "witness": run_witness(QUICK_UNROLL_NAMES),
+        "hard_row": run_hard_row(),
+    }
 
-    # -- the hard row, outside the totals --------------------------------------
-    results["hard_row"] = run_hard_row()
-    return results
 
-
-#: The hard row: the registry's slowest program.  The quick sweep does
-#: not contain it, so it is timed and guarded on its own.
+#: The hard row: the registry's slowest program.  The sweep does not
+#: contain it, so it is timed and guarded on its own.
 HARD_ROW = "num_svt"
 
 
@@ -223,16 +164,14 @@ def run_hard_row() -> Dict:
     }
 
 
-def run_warm_store(names: List[str]) -> Dict:
+def run_warm_store(names) -> Dict:
     """Cold vs warm sweep through a temporary persistent store.
 
     Both passes use a fresh in-memory :class:`QueryCache`, so every warm
     answer comes from disk — the warm pass is required to perform
     **zero** DPLL(T) solves (the cross-run incrementality contract the
-    CI guard enforces).
+    guard enforces).
     """
-    import tempfile
-
     out: Dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         store_path = os.path.join(tmp, "obligations.sqlite")
@@ -261,7 +200,7 @@ def run_warm_store(names: List[str]) -> Dict:
     return out
 
 
-def run_witness(names: List[str]) -> Dict:
+def run_witness(names) -> Dict:
     """Witness emission cost and trusted-revalidation throughput.
 
     Emission must be observationally free (identical query/hit/solve
@@ -273,15 +212,10 @@ def run_witness(names: List[str]) -> Dict:
     the per-round witnessed/plain ratios: a burst of host load or a
     drift within the process then moves both sweeps of a round, and
     one slow round moves the median little.  Every round's two sweeps
-    must report identical counters.  ``rounds`` keeps each round's
-    (plain, witnessed) seconds.  The revalidation figure is the point
-    of the subsystem: re-checking a stored sweep with the trusted
+    must report identical counters.  The revalidation figure is the
+    point of the subsystem: re-checking a stored sweep with the trusted
     kernel costs milliseconds, not solves.
     """
-    import sqlite3
-    import tempfile
-
-    from repro.witness import Certificate, validate
 
     def sweep(witness: bool, store: Optional[str] = None) -> Dict:
         cache = QueryCache()
@@ -312,16 +246,12 @@ def run_witness(names: List[str]) -> Dict:
         sweeps = {witness: sweep(witness) for witness in order}
         rounds.append((sweeps[False], sweeps[True]))
 
-    def median_row(rows: List[Dict]) -> Dict:
-        return dict(rows[0], seconds=round(statistics.median(r["seconds"] for r in rows), 3))
+    def median_seconds(rows: List[Dict]) -> float:
+        return round(statistics.median(r["seconds"] for r in rows), 3)
 
     out: Dict = {
-        "plain": median_row([plain for plain, _ in rounds]),
-        "witnessed": median_row([witnessed for _, witnessed in rounds]),
-        "rounds": [
-            [round(plain["seconds"], 4), round(witnessed["seconds"], 4)]
-            for plain, witnessed in rounds
-        ],
+        "plain_seconds": median_seconds([plain for plain, _ in rounds]),
+        "witnessed_seconds": median_seconds([witnessed for _, witnessed in rounds]),
     }
     out["identical_counters"] = all(
         plain[key] == witnessed[key]
@@ -343,9 +273,7 @@ def run_witness(names: List[str]) -> Dict:
         conn = sqlite3.connect(store_path)
         # Content-derived oids dedup identical obligations across specs,
         # so the store can hold fewer rows than certificates collected.
-        valid_rows, witness_rows = conn.execute(
-            "SELECT SUM(valid), COUNT(witness) FROM obligations"
-        ).fetchone()
+        (valid_rows,) = conn.execute("SELECT SUM(valid) FROM obligations").fetchone()
         texts = [
             row[0]
             for row in conn.execute(
@@ -360,7 +288,6 @@ def run_witness(names: List[str]) -> Dict:
     out["revalidate"] = {
         "certificates": len(texts),
         "stored_valid": int(valid_rows or 0),
-        "stored_witnesses": int(witness_rows or 0),
         "seconds": round(seconds, 3),
         "ms_per_certificate": (
             round(1000 * seconds / len(texts), 3) if texts else None
@@ -370,106 +297,7 @@ def run_witness(names: List[str]) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# Inner-loop microbenchmarks
-# ---------------------------------------------------------------------------
-
-
-def microbench_terms(iterations: int = 40, width: int = 200) -> Dict:
-    """Term-layer throughput: rebuild the same and/or/atom structure and
-    measure how much of it the interner absorbs."""
-    hits0, misses0 = intern.counters()
-    start = time.perf_counter()
-    built = 0
-    for _ in range(iterations):
-        atoms = [
-            F.mk_atom("<=", LinExpr.variable(f"v{i}"), LinExpr.variable(f"v{i + 1}"))
-            for i in range(width)
-        ]
-        node = F.mk_and(
-            *[F.mk_or(atoms[i], F.mk_not(atoms[(i + 7) % width])) for i in range(width)]
-        )
-        F.atoms_of(node)
-        built += width
-    seconds = time.perf_counter() - start
-    hits1, misses1 = intern.counters()
-    hits, misses = hits1 - hits0, misses1 - misses0
-    return {
-        "nodes_built": built,
-        "seconds": round(seconds, 3),
-        "intern_hits": hits,
-        "intern_misses": misses,
-        "hit_rate": round(hits / (hits + misses), 4) if hits + misses else None,
-    }
-
-
-def microbench_simplex(rounds: int = 30, chain: int = 40) -> Dict:
-    """Theory-layer throughput: difference-chain bound rounds under
-    push/pop, counting pivots per second."""
-    profile = SolverProfile()
-    simplex = Simplex(profile=profile)
-    variables = [LinExpr.variable(f"x{i}") for i in range(chain)]
-    for i in range(chain - 1):
-        simplex.define(f"d{i}", variables[i] - variables[i + 1])
-    start = time.perf_counter()
-    for _ in range(rounds):
-        simplex.push_state()
-        for i in range(chain - 1):
-            # x_i <= x_{i+1} - 1: pushes every link of the chain.
-            simplex.assert_upper(f"d{i}", DeltaRat(Fraction(-1)), ("u", i))
-        simplex.assert_lower("x0", DeltaRat(Fraction(0)), "l")
-        simplex.check()
-        simplex.pop_state()
-    seconds = time.perf_counter() - start
-    return {
-        "rounds": rounds,
-        "seconds": round(seconds, 3),
-        "pivots": profile.pivots,
-        "bound_asserts": profile.bound_asserts,
-        "pivots_per_second": round(profile.pivots / seconds, 1) if seconds > 0 else None,
-    }
-
-
-def microbench_sat(num_vars: int = 150, num_clauses: int = 600) -> Dict:
-    """SAT-layer throughput: a planted (satisfiable) random 3-SAT
-    instance, counting propagations per second."""
-    rng = random.Random(1234)
-    planted = [rng.choice([True, False]) for _ in range(num_vars)]
-    solver = CDCLSolver(num_vars)
-    for _ in range(num_clauses):
-        vars_ = rng.sample(range(1, num_vars + 1), 3)
-        clause = [v if rng.random() < 0.7 else -v for v in vars_]
-        pick = rng.choice(range(3))
-        v = abs(clause[pick])
-        clause[pick] = v if planted[v - 1] else -v
-        solver.add_clause(clause)
-    start = time.perf_counter()
-    assert solver.solve()
-    seconds = time.perf_counter() - start
-    profile = solver.profile
-    return {
-        "num_vars": num_vars,
-        "num_clauses": num_clauses,
-        "seconds": round(seconds, 3),
-        "decisions": profile.decisions,
-        "propagations": profile.propagations,
-        "conflicts": profile.conflicts,
-        "restarts": profile.restarts,
-        "propagations_per_second": (
-            round(profile.propagations / seconds, 1) if seconds > 0 else None
-        ),
-    }
-
-
-def run_microbench() -> Dict:
-    return {
-        "term_intern": microbench_terms(),
-        "simplex_pivot": microbench_simplex(),
-        "sat_propagate": microbench_sat(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# CI counter guard
+# The guard
 # ---------------------------------------------------------------------------
 
 #: Counters the guard compares.  With a pinned ``PYTHONHASHSEED`` (the
@@ -527,8 +355,6 @@ def _pin_hash_seed() -> None:
     guard and the reference writer both pin seed 0 so their numbers
     compare like for like.
     """
-    import subprocess
-
     if os.environ.get("PYTHONHASHSEED") == "0":
         return
     env = dict(os.environ, PYTHONHASHSEED="0")
@@ -543,7 +369,7 @@ def run_guard(reference_path: str) -> int:
         print(f"error: {reference_path} has no quick_reference section; "
               f"run --update-reference first", file=sys.stderr)
         return 2
-    results = run_workloads(quick=True)
+    results = run_workloads()
     print(render(results))
     failed = not within_tolerance("", expected, guard_counters(results))
     hard_expected = reference.get("hard_reference")
@@ -567,14 +393,12 @@ def run_guard(reference_path: str) -> int:
                 failed = True
     else:
         print("bench-guard: no serial_reference section; exact serial check skipped")
-    warm_store = results.get("warm_store")
-    if warm_store is not None:
-        warm_solves = warm_store["warm"]["solve_calls"]
-        status = "OK" if warm_solves == 0 else "REGRESSION"
-        print(f"bench-guard: warm-store solve_calls: expected=0 "
-              f"current={warm_solves} [{status}]")
-        if warm_solves != 0:
-            failed = True
+    warm_solves = results["warm_store"]["warm"]["solve_calls"]
+    status = "OK" if warm_solves == 0 else "REGRESSION"
+    print(f"bench-guard: warm-store solve_calls: expected=0 "
+          f"current={warm_solves} [{status}]")
+    if warm_solves != 0:
+        failed = True
     if not run_witness_guard(results):
         failed = True
     if failed:
@@ -608,10 +432,7 @@ def run_witness_guard(results: Dict) -> bool:
     cost < :data:`WITNESS_OVERHEAD_LIMIT` wall clock on the quick
     sweep, and every emitted certificate must pass the trusted
     validator (``revalidate`` covers the whole stored sweep)."""
-    witness = results.get("witness")
-    if witness is None:
-        print("bench-guard: no witness section, skipping")
-        return True
+    witness = results["witness"]
     overhead = witness["emission_overhead"]
     revalidated = witness["revalidate"]["certificates"]
     expected = witness["revalidate"]["stored_valid"]
@@ -629,33 +450,19 @@ def run_witness_guard(results: Dict) -> bool:
     return ok
 
 
-#: The sections of the committed reference file the guard reads.
-REFERENCE_SECTIONS = ("quick_reference", "serial_reference", "hard_reference")
-
-
-def holds_references(path: str) -> bool:
-    """True when ``path`` is a JSON object with a guard reference section."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return False
-    return isinstance(payload, dict) and any(key in payload for key in REFERENCE_SECTIONS)
-
-
 def update_reference(reference_path: str) -> int:
     try:
         with open(reference_path) as handle:
             reference = json.load(handle)
     except FileNotFoundError:
         reference = {}
-    results = run_workloads(quick=True)
+    results = run_workloads()
     print(render(results))
     reference["quick_reference"] = guard_counters(results)
     reference["serial_reference"] = serial_counters(results)
     reference["hard_reference"] = hard_counters(results)
     with open(reference_path, "w") as handle:
-        json.dump(reference, handle, indent=2)
+        json.dump(reference, handle, indent=1)
     print(f"updated quick_reference in {reference_path}: "
           f"{reference['quick_reference']}; serial_reference: "
           f"{reference['serial_reference']}; hard_reference: "
@@ -665,119 +472,66 @@ def update_reference(reference_path: str) -> int:
 
 def render(results: Dict) -> str:
     lines = [
-        "bench_solver — obligation discharge over the registry",
-        f"{'workload':20s} {'queries':>8s} {'hits':>6s} {'solves':>7s} {'sec':>8s} {'q/s':>8s}",
+        "bench_solver — obligation discharge over the quick registry sweep",
+        f"{'workload':20s} {'queries':>8s} {'hits':>6s} {'solves':>7s} {'sec':>8s}",
     ]
-    for workload, stats in results["workloads"].items():
-        qps = stats["queries_per_second"]
+    rows = list(results["workloads"].items()) + [("TOTAL", results["totals"])]
+    for workload, stats in rows:
         lines.append(
             f"{workload:20s} {stats['queries']:8d} {stats['cache_hits']:6d} "
-            f"{stats['solve_calls']:7d} {stats['seconds']:8.2f} {qps if qps is not None else '—':>8}"
+            f"{stats['solve_calls']:7d} {stats['seconds']:8.2f}"
         )
     totals = results["totals"]
-    lines.append(
-        f"{'TOTAL':20s} {totals['queries']:8d} {totals['cache_hits']:6d} "
-        f"{totals['solve_calls']:7d} {totals['seconds']:8.2f}"
-    )
     lines.append(f"pivots: {totals['pivots']}, rounds: {totals['rounds']}")
-    hard = results.get("hard_row")
-    if hard:
-        lines.append(
-            f"hard row ({hard['program']} Fix-eps): {hard['rounds']} rounds, "
-            f"{hard['pivots']} pivots, {hard['solve_calls']} solves in {hard['seconds']}s"
-        )
-    warm_store = results.get("warm_store")
-    if warm_store:
-        cold, warm = warm_store["cold"], warm_store["warm"]
-        lines.append(
-            f"persistent store: cold {cold['seconds']}s ({cold['solve_calls']} solves, "
-            f"{cold['store_writes']} writes) -> warm {warm['seconds']}s "
-            f"({warm['solve_calls']} solves, {warm['store_hits']} store hits), "
-            f"{warm_store['speedup']}x"
-        )
-    witness = results.get("witness")
-    if witness:
-        revalidate = witness["revalidate"]
-        identical = (
-            "identical counters"
-            if witness["identical_counters"]
-            else "COUNTERS DIVERGED"
-        )
-        lines.append(
-            f"witnesses: emission {witness['plain']['seconds']}s -> "
-            f"{witness['witnessed']['seconds']}s "
-            f"({witness['emission_overhead']:+.1%}, {identical}); "
-            f"revalidated {revalidate['certificates']} certificates in "
-            f"{revalidate['seconds']}s "
-            f"({revalidate['ms_per_certificate']} ms each, zero solves)"
-        )
-    micro = results.get("microbench")
-    if micro:
-        lines.append("")
-        lines.append("microbench — inner loops in isolation")
-        term = micro["term_intern"]
-        lines.append(
-            f"  term layer:   {term['nodes_built']} nodes in {term['seconds']}s, "
-            f"intern hit rate {term['hit_rate']}"
-        )
-        spx = micro["simplex_pivot"]
-        lines.append(
-            f"  simplex:      {spx['pivots']} pivots / {spx['bound_asserts']} asserts "
-            f"in {spx['seconds']}s ({spx['pivots_per_second']} pivots/s)"
-        )
-        sat = micro["sat_propagate"]
-        lines.append(
-            f"  CDCL:         {sat['propagations']} propagations, {sat['conflicts']} "
-            f"conflicts, {sat['restarts']} restarts in {sat['seconds']}s "
-            f"({sat['propagations_per_second']} props/s)"
-        )
+    hard = results["hard_row"]
+    lines.append(
+        f"hard row ({hard['program']} Fix-eps): {hard['rounds']} rounds, "
+        f"{hard['pivots']} pivots, {hard['solve_calls']} solves in {hard['seconds']}s"
+    )
+    warm_store = results["warm_store"]
+    cold, warm = warm_store["cold"], warm_store["warm"]
+    lines.append(
+        f"persistent store: cold {cold['seconds']}s ({cold['solve_calls']} solves, "
+        f"{cold['store_writes']} writes) -> warm {warm['seconds']}s "
+        f"({warm['solve_calls']} solves, {warm['store_hits']} store hits), "
+        f"{warm_store['speedup']}x"
+    )
+    witness = results["witness"]
+    revalidate = witness["revalidate"]
+    identical = (
+        "identical counters" if witness["identical_counters"] else "COUNTERS DIVERGED"
+    )
+    lines.append(
+        f"witnesses: emission {witness['plain_seconds']}s -> "
+        f"{witness['witnessed_seconds']}s "
+        f"({witness['emission_overhead']:+.1%}, {identical}); "
+        f"revalidated {revalidate['certificates']} certificates in "
+        f"{revalidate['seconds']}s "
+        f"({revalidate['ms_per_certificate']} ms each, zero solves)"
+    )
     return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="small subset for CI smoke")
-    parser.add_argument(
-        "--json-out", metavar="PATH", default=None, help="write results as JSON"
+    parser = argparse.ArgumentParser(
+        description="Guard the solver counters of the quick registry sweep."
     )
-    parser.add_argument(
-        "--no-microbench", action="store_true", help="skip the inner-loop microbenchmarks"
-    )
-    parser.add_argument(
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument(
         "--guard",
         metavar="PATH",
-        default=None,
-        help="quick run; fail on >20%% counter regression vs PATH's quick_reference",
+        help="fail on >20%% counter growth vs PATH's references",
     )
-    parser.add_argument(
+    action.add_argument(
         "--update-reference",
         metavar="PATH",
-        default=None,
-        help="quick run; write the counters into PATH's quick_reference section",
+        help="write the sweep's counters into PATH's reference sections",
     )
     args = parser.parse_args(argv)
-
-    if args.json_out and holds_references(args.json_out):
-        print(f"error: {args.json_out} holds the guard's reference counters "
-              f"({', '.join(REFERENCE_SECTIONS)}); write the results to another "
-              "file, e.g. --json-out BENCH_solver_quick.json", file=sys.stderr)
-        return 2
+    _pin_hash_seed()
     if args.guard:
-        _pin_hash_seed()
         return run_guard(args.guard)
-    if args.update_reference:
-        _pin_hash_seed()
-        return update_reference(args.update_reference)
-
-    results = run_workloads(quick=args.quick)
-    if not args.no_microbench:
-        results["microbench"] = run_microbench()
-    print(render(results))
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"wrote {args.json_out}")
-    return 0
+    return update_reference(args.update_reference)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
-"""Regenerate the paper's Table 1 (see also benchmarks/bench_table1.py).
+"""Regenerate the paper's Table 1 (also ``repro table1``).
 
 Run:  python examples/table1.py
+
+``tests/paper/test_table1.py`` asserts that every row verifies within
+the paper's shape bounds; ``perfbench/run.py --workload table1`` times
+the same rows end to end and per layer.
 """
 
 from repro.algorithms.table1 import generate_table1, render_table1

@@ -73,13 +73,11 @@ def measure_row(name: str, extra_bindings: Optional[Dict] = None) -> Table1Row:
     target = to_target(check_function(spec.function()))
 
     # "Rewrite" regime: unbounded, symbolic parameters, manual invariants.
-    inv_config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
-    if extra_bindings:
-        inv_config = VerificationConfig(
-            mode="invariant",
-            bindings=dict(extra_bindings),
-            assumptions=spec.assumption_exprs(),
-        )
+    inv_config = VerificationConfig(
+        mode="invariant",
+        bindings=dict(extra_bindings or {}),
+        assumptions=spec.assumption_exprs(),
+    )
     inv_outcome = verify_target(target, inv_config)
 
     # "Fix ε" regime: concrete loop bounds (and N where applicable).

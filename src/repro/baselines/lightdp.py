@@ -9,8 +9,8 @@ defers to the ShadowDP checker in aligned-only mode.
 
 This makes the paper's expressiveness claim executable: Report Noisy Max
 has **no** aligned-only annotation that both type checks and verifies
-(the ablation benchmark demonstrates this), while the Sparse Vector and
-sum families go through unchanged.
+(``tests/verify/test_regimes.py::TestLightDPBaseline``), while the
+Sparse Vector and sum families go through unchanged.
 """
 
 from __future__ import annotations

@@ -94,7 +94,6 @@ class ValidityChecker:
         re-solves a cached valid answer that has no certificate (see
         :meth:`QueryCache.acquire`).
         """
-        premises = tuple(premises)
         bool_vars = self.bool_vars if bool_vars is None else frozenset(bool_vars)
         self.queries += 1
         key = normalize_query(goal, premises, bool_vars)
@@ -105,7 +104,7 @@ class ValidityChecker:
             self.cache_hits += 1
         else:
             try:
-                entry = self._answer(key, goal, premises, bool_vars)
+                entry = self._answer(key)
             except BaseException:
                 self.cache.cancel(key)
                 raise
@@ -144,20 +143,19 @@ class ValidityChecker:
 
     # -- internals -------------------------------------------------------------
 
-    def _answer(
-        self,
-        key: Tuple,
-        goal: ast.Expr,
-        premises: Tuple[ast.Expr, ...],
-        bool_vars: AbstractSet[str],
-    ) -> CacheEntry:
+    def _answer(self, key: Tuple) -> CacheEntry:
         """The stored answer to ``key`` if ``answers`` has one, else a
-        fresh solve, recorded in ``answers``."""
+        fresh solve, recorded in ``answers``.
+
+        The solve is of ``key`` itself — the simplified goal and the
+        sorted premises — not of the caller's wording, so every query
+        with one key gets one certificate whatever its premise order.
+        """
         if self.answers is not None:
             entry = self.answers.lookup(key)
             if entry is not None:
                 return entry
-        result, solver = self._solve(goal, premises, bool_vars)
+        result, solver = self._solve(*key)
         self.solve_calls += 1
         entry = entry_from_result(result)
         if self.witness and entry.valid:

@@ -30,7 +30,7 @@ cancelled runs record nothing — a partially-discharged unit must not
 masquerade as a verdict).  Lookups only read; the rows a run was
 answered from get their ``last_used`` refreshed in one batch, and only
 those last refreshed more than :data:`TOUCH_INTERVAL` ago, so a warm
-run over recently used rows writes nothing.
+run over recently used rows opens no write transaction.
 
 The same table keeps the type checker's solver answers, for witnessed
 runs, under one check-stage fingerprint (:class:`CheckAnswers`): a
@@ -229,6 +229,9 @@ class ObligationStore:
         #: ``(oid, fingerprint)`` pairs touched, and ``proofs``, the
         #: proofs the kernel accepted; both None outside one.
         self._scope = threading.local()
+        #: The ``last_used`` stamp :meth:`lookup` read per ``(oid,
+        #: fingerprint)``, consumed by the next touch of that row.
+        self._stamps: Dict[Tuple[str, str], float] = {}
 
     def _run(self, action):
         """Run one sqlite action, retrying transient busy/locked errors
@@ -318,8 +321,8 @@ class ObligationStore:
                 conn = self._connect()
                 row = self._run(
                     lambda: conn.execute(
-                        "SELECT valid, status, model, witness FROM obligations"
-                        " WHERE oid = ? AND fp = ?",
+                        "SELECT valid, status, model, witness, last_used"
+                        " FROM obligations WHERE oid = ? AND fp = ?",
                         (oid, fingerprint),
                     ).fetchone()
                 )
@@ -338,6 +341,7 @@ class ObligationStore:
                     raise ValueError(f"bad status {status!r}")
                 arith, booleans = _decode_model(row[2])
                 witness = str(row[3]) if row[3] is not None else None
+                last_used = float(row[4])
                 if valid and status != "unsat":
                     raise ValueError("valid verdict with non-unsat status")
             except (ValueError, KeyError, TypeError, ZeroDivisionError,
@@ -354,6 +358,7 @@ class ObligationStore:
                     self._reset_connection()
                 return None
             self.counters.hits += 1
+            self._stamps[(oid, fingerprint)] = last_used
             if witness is not None:
                 plan = faults_mod.active()
                 if plan is not None and plan.witness_corrupt():
@@ -414,11 +419,11 @@ class ObligationStore:
 
         Only rows whose stamp is older than :data:`TOUCH_INTERVAL` are
         rewritten: one UPDATE batch and one commit for the whole run,
-        retried on a transient busy error, that leaves the file as it
-        was when every row is fresh.  Inside a :meth:`run_scope` block
-        the rows join that block's batch instead.  A no-op for an empty
-        list or a degraded store; a write that still fails only leaves
-        ``last_used`` stale.
+        retried on a transient busy error.  When every row's stamp, as
+        its :meth:`lookup` read it, is fresh, no transaction is opened
+        at all.  Inside a :meth:`run_scope` block the rows join that
+        block's batch instead.  A no-op for an empty list or a degraded
+        store; a write that still fails only leaves ``last_used`` stale.
         """
         if not oids:
             return
@@ -454,13 +459,18 @@ class ObligationStore:
             self._touch_rows(rows)
 
     def _touch_rows(self, pairs: Sequence[Tuple[str, str]]) -> None:
-        if not pairs:
-            return
         now = time.time()
         stale = now - TOUCH_INTERVAL
-        rows = [(now, oid, fingerprint, stale) for oid, fingerprint in pairs]
         with self._lock:
-            if self.degraded:
+            # A row whose lookup read a fresh stamp needs no write, so a
+            # run over fresh rows opens no write transaction.  A row this
+            # store did not look up is left to the UPDATE's own guard.
+            rows = [
+                (now, oid, fingerprint, stale)
+                for oid, fingerprint in dict.fromkeys(pairs)
+                if self._stamps.pop((oid, fingerprint), 0.0) < stale
+            ]
+            if self.degraded or not rows:
                 return
             try:
                 conn = self._connect()

@@ -18,6 +18,7 @@ import repro
 from repro import Pipeline, PipelineError
 from repro.algorithms import get
 from repro.lang import ast
+from repro.lang.pretty import pretty_command
 from repro.pipeline import STAGES, source_hash
 
 
@@ -73,8 +74,12 @@ class TestStages:
 
     def test_optimize_stage_removes_dead_shadow_stores(self):
         pipe = Pipeline()
-        raw = pipe.run(NOISY_MAX.source, stop_after="lower").artifact("lower")
-        optimized = pipe.run(NOISY_MAX.source, stop_after="optimize").target
+
+        def lowered(spec):
+            raw = pipe.run(spec.source, stop_after="lower").artifact("lower")
+            return raw, pipe.run(spec.source, stop_after="optimize").target
+
+        raw, optimized = lowered(NOISY_MAX)
         raw_stores = [
             c for c in ast.command_iter(raw.body)
             if isinstance(c, ast.Assign) and c.name == "max^s"
@@ -84,6 +89,11 @@ class TestStages:
             c for c in ast.command_iter(optimized.body)
             if isinstance(c, ast.Assign) and c.name == "max^s"
         ]
+        # Dead-store elimination never lengthens the output.
+        for spec in (NOISY_MAX, get("smart_sum")):
+            raw, optimized = lowered(spec)
+            lines = [len(pretty_command(t.body).splitlines()) for t in (optimized, raw)]
+            assert lines[0] <= lines[1], spec.name
 
     def test_lower_ir_stage_builds_cfg(self):
         from repro.ir import ProgramIR

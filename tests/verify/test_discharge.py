@@ -211,7 +211,7 @@ def _reference(target, config):
     return (not failing, sorted(failing), oids)
 
 
-class TestBackendEquivalence:
+class TestReferenceAgreement:
     """Unit discharge agrees with the per-obligation reference on
     verdicts, failing obligations and obligation ids over the registry,
     and a query cache handed to ``verify_target`` spans runs."""
@@ -241,7 +241,7 @@ class TestBackendEquivalence:
         )
         assert self._agree(spec.target(), config).verified == (name == "svt")
 
-    def test_oneshot_agrees_on_verdicts(self):
+    def test_registry_agrees_with_reference(self):
         """Every registry row in its Table-1 regime, buggy ones included."""
         for spec in all_specs():
             outcome = self._agree(spec.target(), spec_config(spec))
@@ -251,7 +251,7 @@ class TestBackendEquivalence:
             assert all(f.arith_model is not None for f in outcome.failures), spec.name
             assert outcome.solve_calls <= outcome.solver_queries, spec.name
 
-    def test_cached_backend_shares_cache_across_runs(self):
+    def test_query_cache_spans_runs(self):
         spec = get("svt")
         config = spec_config(spec)
         cache = QueryCache()

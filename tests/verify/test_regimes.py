@@ -1,17 +1,18 @@
-"""Integration tests: every Table-1 algorithm in every regime.
+"""Integration tests: every registry algorithm in every regime.
 
 These are the paper's headline results as assertions:
 
-* all Table-1 rows type check with only the paper's annotations;
-* all transformed programs verify — bounded (unroll) and unbounded
-  (invariant mode) — and the buggy variants are refuted;
+* all registry programs type check with only the paper's annotations;
+* the programs outside Table 1 verify — bounded (unroll) and unbounded
+  (invariant mode) — and the buggy variants are refuted; the Table-1
+  rows verify in ``tests/paper/test_table1.py``;
 * Report Noisy Max verifies with *no* manual invariants via Houdini;
 * LightDP mode rejects Report Noisy Max but accepts the rest.
 """
 
 import pytest
 
-from repro.algorithms import all_specs, get
+from repro.algorithms import TABLE1_ORDER, all_specs, get
 from repro.baselines import check_lightdp
 from repro.core.errors import ShadowDPTypeError
 from repro.verify.houdini import infer_invariants
@@ -19,13 +20,16 @@ from repro.verify.verifier import VerificationConfig, verify_target
 
 CORRECT = [s.name for s in all_specs(include_buggy=False)]
 BUGGY = [s.name for s in all_specs() if not s.expect_verified]
+#: Correct programs that are not Table-1 rows.
+OUTSIDE_TABLE1 = [name for name in CORRECT if name not in {row for row, _ in TABLE1_ORDER}]
 
 
-def unroll_config(spec, extra_bindings=None):
-    bindings = dict(spec.fixed_bindings)
-    bindings.update(extra_bindings or {})
+def unroll_config(spec):
     return VerificationConfig(
-        mode="unroll", bindings=bindings, assumptions=spec.assumption_exprs(), unroll_limit=16
+        mode="unroll",
+        bindings=dict(spec.fixed_bindings),
+        assumptions=spec.assumption_exprs(),
+        unroll_limit=16,
     )
 
 
@@ -44,7 +48,7 @@ class TestTypeChecking:
 
 
 class TestUnrollRegime:
-    @pytest.mark.parametrize("name", CORRECT)
+    @pytest.mark.parametrize("name", OUTSIDE_TABLE1)
     def test_verified(self, name):
         spec = get(name)
         outcome = verify_target(spec.target(), unroll_config(spec))
@@ -57,15 +61,9 @@ class TestUnrollRegime:
         assert not outcome.verified
         assert all(f.arith_model is not None for f in outcome.failures)
 
-    def test_svt_n1_row(self):
-        # Table 1's "(N = 1)" rows: same program, N bound to 1.
-        spec = get("svt")
-        outcome = verify_target(spec.target(), unroll_config(spec, {"N": 1}))
-        assert outcome.verified
-
 
 class TestInvariantRegime:
-    @pytest.mark.parametrize("name", CORRECT)
+    @pytest.mark.parametrize("name", OUTSIDE_TABLE1)
     def test_unbounded_verification(self, name):
         spec = get(name)
         config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
@@ -74,13 +72,20 @@ class TestInvariantRegime:
 
 
 class TestHoudini:
+    @staticmethod
+    def _infer(target):
+        spec = get("noisy_max")
+        config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
+        result = infer_invariants(target, config, peel=1)
+        assert result.outcome.verified, result.outcome.describe()
+        return result
+
     def test_noisy_max_fully_automatic(self):
         # Strip the manual invariants and let Houdini find them.
         from repro.lang import ast as A
         from repro.target.transform import TargetProgram
 
-        spec = get("noisy_max")
-        target = spec.target()
+        target = get("noisy_max").target()
 
         def strip(cmd):
             if isinstance(cmd, A.Seq):
@@ -92,10 +97,10 @@ class TestHoudini:
             return cmd
 
         bare = TargetProgram(target.function, strip(target.body), target.cost_bound, target.aligned_only)
-        config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
-        result = infer_invariants(bare, config, peel=1)
-        assert result.outcome.verified, result.outcome.describe()
-        assert result.invariants  # something was inferred
+        assert self._infer(bare).invariants  # something was inferred
+
+    def test_noisy_max_with_manual_invariants(self):
+        self._infer(get("noisy_max").target())
 
 
 class TestLightDPBaseline:

@@ -291,13 +291,22 @@ class TestLastUsed:
         faults.reset()
 
     def test_warm_witnessed_run_commits_once(self, tmp_path):
-        store = ObligationStore(os.fspath(tmp_path / "store.sqlite"))
+        path = os.fspath(tmp_path / "store.sqlite")
+        store = ObligationStore(path)
         cold = _run("svt", store, witness=True)
-        commits = _commits(store)
+        statements = []
+        store._connect().set_trace_callback(statements.append)
         warm = _run("svt", store, witness=True)
         assert warm.store["hits"] == warm.store["validated_hits"] == cold.obligations_total
         assert warm.solve_calls == 0
+        # Fresh rows: no write transaction at all, not an empty one.
+        assert [sql for sql in statements if not sql.lstrip().upper().startswith("SELECT")] == []
+        # Aged rows are refreshed in one commit.
+        _age_rows(path)
+        commits = _commits(store)
+        _run("svt", store, witness=True)
         assert len(commits) == 1
+        assert min(_last_used(path).values()) > 0
 
     def test_lookup_commits_nothing(self, tmp_path):
         path = os.fspath(tmp_path / "store.sqlite")

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms import get
+from repro.lang.parser import parse_expr
 from repro.pipeline import Pipeline, spec_config
+from repro.solver.interface import ValidityChecker
 from repro.verify.store import ObligationStore
 from repro.verify.verifier import prepare_generator, target_cfg
 from repro.witness import SCHEMA_VERSION, Certificate, WitnessError, validate
@@ -93,6 +95,19 @@ class TestCanonicalJson:
         # The in-memory object (possibly shared across chunk members)
         # was not touched.
         assert original.oid is None or original.oid == oid
+
+    def test_premise_order_does_not_change_the_certificate(self):
+        # The type checker keys its answers (and check-stage store rows)
+        # by the normalized query, so one key must get one certificate
+        # whatever order the caller listed its premises in.
+        premises = [parse_expr("x >= 1"), parse_expr("y >= 2"), parse_expr("z <= x")]
+        goal = parse_expr("x + y >= 3")
+        texts = set()
+        for order in (premises, premises[::-1]):
+            checker = ValidityChecker(witness=True)
+            assert checker.is_valid(goal, order)
+            texts.add(checker.last_certificate.to_json())
+        assert len(texts) == 1
 
     def test_integral_values_decode_to_int(self, svt_certificates):
         kinds = set()
