@@ -3,16 +3,15 @@
 These are the paper's headline results as assertions:
 
 * all registry programs type check with only the paper's annotations;
-* the programs outside Table 1 verify — bounded (unroll) and unbounded
-  (invariant mode) — and the buggy variants are refuted; the Table-1
-  rows verify in ``tests/paper/test_table1.py``;
+* all transformed programs verify — bounded (unroll) and unbounded
+  (invariant mode) — and the buggy variants are refuted;
 * Report Noisy Max verifies with *no* manual invariants via Houdini;
 * LightDP mode rejects Report Noisy Max but accepts the rest.
 """
 
 import pytest
 
-from repro.algorithms import TABLE1_ORDER, all_specs, get
+from repro.algorithms import all_specs, get
 from repro.baselines import check_lightdp
 from repro.core.errors import ShadowDPTypeError
 from repro.verify.houdini import infer_invariants
@@ -20,16 +19,13 @@ from repro.verify.verifier import VerificationConfig, verify_target
 
 CORRECT = [s.name for s in all_specs(include_buggy=False)]
 BUGGY = [s.name for s in all_specs() if not s.expect_verified]
-#: Correct programs that are not Table-1 rows.
-OUTSIDE_TABLE1 = [name for name in CORRECT if name not in {row for row, _ in TABLE1_ORDER}]
 
 
-def unroll_config(spec):
+def unroll_config(spec, extra_bindings=None):
+    bindings = dict(spec.fixed_bindings)
+    bindings.update(extra_bindings or {})
     return VerificationConfig(
-        mode="unroll",
-        bindings=dict(spec.fixed_bindings),
-        assumptions=spec.assumption_exprs(),
-        unroll_limit=16,
+        mode="unroll", bindings=bindings, assumptions=spec.assumption_exprs(), unroll_limit=16
     )
 
 
@@ -48,7 +44,7 @@ class TestTypeChecking:
 
 
 class TestUnrollRegime:
-    @pytest.mark.parametrize("name", OUTSIDE_TABLE1)
+    @pytest.mark.parametrize("name", CORRECT)
     def test_verified(self, name):
         spec = get(name)
         outcome = verify_target(spec.target(), unroll_config(spec))
@@ -61,9 +57,15 @@ class TestUnrollRegime:
         assert not outcome.verified
         assert all(f.arith_model is not None for f in outcome.failures)
 
+    def test_svt_n1_row(self):
+        # Table 1's "(N = 1)" rows: same program, N bound to 1.
+        spec = get("svt")
+        outcome = verify_target(spec.target(), unroll_config(spec, {"N": 1}))
+        assert outcome.verified
+
 
 class TestInvariantRegime:
-    @pytest.mark.parametrize("name", OUTSIDE_TABLE1)
+    @pytest.mark.parametrize("name", CORRECT)
     def test_unbounded_verification(self, name):
         spec = get(name)
         config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
