@@ -39,9 +39,10 @@ def main() -> None:
         mode="unroll",
         bindings={"size": 4, "N": 2},
         assumptions=(parse_expr("eps > 0"), parse_expr("N >= 1")),
+        profile=True,
     )
 
-    run = Pipeline(config=config).run(source, profile=True)
+    run = Pipeline(config=config).run(source)
     print(run.describe())
     print()
 

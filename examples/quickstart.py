@@ -25,7 +25,7 @@ def main() -> None:
         mode="invariant",
         assumptions=(parse_expr("eps > 0"), parse_expr("size >= 0")),
     )
-    result = Pipeline(memoize=False).run(SOURCE, config=config)
+    result = Pipeline().run(SOURCE, config=config)
 
     print("\n=== Transformed target program (Figure 1, bottom) ===")
     print(pretty_command(result.target.body))

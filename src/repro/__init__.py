@@ -17,7 +17,7 @@ Each stage produces a :class:`~repro.pipeline.StageResult` (artifact,
 wall-clock seconds, solver-query count); stages are memoized on the
 source hash, and :meth:`~repro.pipeline.Pipeline.run_many` batches the
 whole algorithm registry through one shared cache.  A one-shot run is
-``Pipeline(memoize=False).run(source, config=...)``.
+``Pipeline().run(source, config=...)``.
 
 Layers (bottom-up):
 

@@ -10,7 +10,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.checker import CheckedProgram
 from repro.lang import ast
 from repro.lang.parser import parse_expr
-from repro.pipeline import Pipeline, PipelineRun, spec_config
+from repro.pipeline import Pipeline, spec_config
 from repro.target.transform import TargetProgram
 from repro.verify.verifier import VerificationConfig
 
@@ -18,11 +18,6 @@ from repro.verify.verifier import VerificationConfig
 #: are module-level singletons, so tests, benches and the CLI all reuse
 #: each algorithm's parse/check/lower/optimize artifacts.
 _PIPELINE = Pipeline()
-
-
-def registry_pipeline() -> Pipeline:
-    """The shared memoizing pipeline behind the algorithm registry."""
-    return _PIPELINE
 
 
 @dataclass
@@ -86,19 +81,9 @@ class AlgorithmSpec:
     def target(self) -> TargetProgram:
         return _PIPELINE.run(self.source, stop_after="optimize").target
 
-    def pipeline_run(self, config: Optional[VerificationConfig] = None) -> PipelineRun:
-        """Full end-to-end run; defaults to this spec's unroll regime."""
-        return _PIPELINE.run(self.source, config=config or self.verification_config())
-
     def verification_config(self, unroll_limit: int = 16) -> VerificationConfig:
         """The spec's Table-1 unroll-regime configuration."""
         return spec_config(self, unroll_limit=unroll_limit)
 
     def assumption_exprs(self) -> Tuple[ast.Expr, ...]:
         return tuple(parse_expr(a) for a in self.assumptions)
-
-    def has_invariants(self) -> bool:
-        return any(
-            isinstance(c, ast.While) and c.invariants
-            for c in ast.command_iter(self.function().body)
-        )

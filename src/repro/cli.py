@@ -150,7 +150,6 @@ def _progress_sink(args):
         EarlyExit,
         ObligationDischarged,
         ObligationRefuted,
-        RoundFinished,
         UnitFinished,
         UnitStarted,
     )
@@ -176,11 +175,6 @@ def _progress_sink(args):
             )
         elif isinstance(event, EarlyExit):
             print(f"  [{event.unit}] early exit: {event.reason}")
-        elif isinstance(event, RoundFinished):
-            print(
-                f"  [houdini] round {event.round}: pruned {event.pruned}, "
-                f"{event.surviving} surviving"
-            )
 
     return emit
 
@@ -689,10 +683,12 @@ def cmd_cache(args) -> int:
 
 
 def _witness_show(args) -> int:
-    """Discharge one file with witnesses on; summarize each oid's stored
-    certificate, or print one of them with ``--oid``."""
+    """Discharge one file with witnesses on; summarize the form the
+    store keeps of each oid's certificate, or print one of them with
+    ``--oid``."""
     from dataclasses import replace
 
+    from repro.verify.store import stored_certificates
     from repro.verify.verifier import prepare_generator, target_cfg
 
     config = replace(_config_from_args(args), witness=True)
@@ -703,14 +699,15 @@ def _witness_show(args) -> int:
         emit=_progress_sink(args),
     )
     refuted = {failure.obligation.oid for failure in failures}
+    stored = stored_certificates(checker.store_fingerprint, checker.certificates)
     if args.oid is not None:
-        text = checker.witness_text(args.oid)
-        if text is None:
+        certificate = stored.get(args.oid)
+        if certificate is None:
             known = any(ob.oid == args.oid for ob in generator.obligations)
             what = "no certificate" if known else "no such obligation"
             print(f"error: {what} for {args.oid!r}", file=sys.stderr)
             return 1
-        print(text)
+        print(certificate.to_json())
         return 0
     print(
         f"{run.name}: {len(checker.certificates)} certificates for "
@@ -718,7 +715,7 @@ def _witness_show(args) -> int:
         f"[fingerprint {checker.store_fingerprint[:12]}]"
     )
     for obligation in generator.obligations:
-        certificate = checker.stored_certificate(obligation.oid)
+        certificate = stored.get(obligation.oid)
         if obligation.oid in refuted:
             status = "refuted (no certificate)"
         elif certificate is None:
@@ -773,7 +770,6 @@ def _witness_sweep(args) -> int:
         default_store_path,
     )
     from repro.verify.verifier import prepare_generator, target_cfg, verify_target
-    from repro.witness import Certificate, WitnessError, validate
 
     path = args.store or os.environ.get(STORE_ENV_VAR) or default_store_path()
     store = ObligationStore(path)
@@ -783,19 +779,18 @@ def _witness_sweep(args) -> int:
     pipe = Pipeline()
     totals = {"missing": 0, "refuted": 0, "unwitnessed": 0, "validated": 0, "rejected": 0}
 
-    def tally(counts, verdict) -> None:
+    def tally(counts, audit) -> None:
+        verdict = audit.verdict
         if verdict is None:
             counts["missing"] += 1
         elif not verdict.valid:
             counts["refuted"] += 1
         elif verdict.witness is None:
             counts["unwitnessed"] += 1
+        elif audit.certificate is not None:
+            counts["validated"] += 1
         else:
-            try:
-                validate(Certificate.from_json(verdict.witness))
-                counts["validated"] += 1
-            except WitnessError:
-                counts["rejected"] += 1
+            counts["rejected"] += 1
 
     rows = []
     for spec in specs:
@@ -810,11 +805,11 @@ def _witness_sweep(args) -> int:
         generator, checker = prepare_generator(run.target, config)
         counts = dict.fromkeys(totals, 0)
         for obligation in generator.stream(target_cfg(run.target, config)):
-            tally(counts, store.lookup(obligation.oid, checker.store_fingerprint))
+            tally(counts, store.audit(obligation.oid, checker.store_fingerprint))
         rows.append({"spec": spec.name, **counts})
     check = dict.fromkeys(totals, 0)
     for oid in store.oids(CHECK_FINGERPRINT):
-        tally(check, store.lookup(oid, CHECK_FINGERPRINT))
+        tally(check, store.audit(oid, CHECK_FINGERPRINT))
     for counts in rows + [check]:
         for key in totals:
             totals[key] += counts[key]

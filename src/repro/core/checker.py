@@ -38,7 +38,7 @@ certificate the trusted kernel can re-check, and
 :attr:`CheckedProgram.certificates` keeps them by query id
 (:func:`~repro.solver.context.query_oid`).  A refutation needs none: it
 can only make the checker reject.  Given a persistent answer source
-(the pipeline passes a :class:`repro.verify.store.CheckAnswers` when a
+(the pipeline passes a :class:`repro.verify.store.CheckRows` when a
 store is attached), a question the cache misses is answered from there
 before it is solved.
 """

@@ -46,7 +46,7 @@ from repro.lang.pretty import pretty_function
 from repro.solver.context import QueryCache
 from repro.target.transform import TargetProgram, to_target
 from repro.verify.discharge import EventSink
-from repro.verify.store import CheckAnswers, resolve_store
+from repro.verify.store import CheckRows, resolve_store
 from repro.verify.verifier import (
     VerificationConfig,
     VerificationOutcome,
@@ -218,7 +218,6 @@ def _config_fingerprint(config: VerificationConfig) -> str:
             sorted(config.bindings.items()),
             config.assumptions,
             config.unroll_limit,
-            config.extra_invariants,
             config.use_lemmas,
             config.collect_models,
             config.fail_fast,
@@ -242,16 +241,15 @@ class Pipeline:
     config:
         Default :class:`VerificationConfig` for the ``verify`` stage;
         per-call configs override it.
-    memoize:
-        When True (default) stage artifacts are cached keyed on the
-        source hash, so re-running any prefix of the pipeline on an
-        unchanged program is free.  ``parse``/``check``/``lower_ir``/
-        ``lower``/``optimize`` are config-independent; ``verify`` additionally
-        keys on the config fingerprint, so sweeping bindings over one
-        program re-verifies but never re-checks.
 
-    Cache hits and misses are tallied per stage in :attr:`cache_hits` /
-    :attr:`cache_misses`.
+    Stage artifacts are memoized keyed on the source hash, so re-running
+    any prefix of the pipeline on an unchanged program is free.
+    ``parse``/``check``/``lower_ir``/``lower``/``optimize`` are
+    config-independent; ``verify`` additionally keys on the config
+    fingerprint, so sweeping bindings over one program re-verifies but
+    never re-checks.  A fresh :class:`Pipeline` starts with an empty
+    memo.  Cache hits and misses are tallied per stage in
+    :attr:`cache_hits` / :attr:`cache_misses`.
 
     Below the stage memo sits a second, finer cache: one shared
     :class:`QueryCache` (:attr:`query_cache`) threaded through every
@@ -271,7 +269,7 @@ class Pipeline:
     ``check`` stage answers type-check queries from the store's
     check-stage rows, each valid one only after the trusted kernel
     accepts its certificate, and writes fresh answers back (see
-    :class:`~repro.verify.store.CheckAnswers`).  An unwitnessed check
+    :class:`~repro.verify.store.CheckRows`).  An unwitnessed check
     stage neither reads nor writes the store.
 
     **Thread safety.**  A memoizing pipeline may be shared by concurrent
@@ -284,15 +282,9 @@ class Pipeline:
     mix are the same as a serial replay of those requests.
     """
 
-    def __init__(
-        self,
-        config: Optional[VerificationConfig] = None,
-        memoize: bool = True,
-        query_cache: Optional[QueryCache] = None,
-    ) -> None:
+    def __init__(self, config: Optional[VerificationConfig] = None) -> None:
         self.config = config or VerificationConfig()
-        self.memoize = memoize
-        self.query_cache = query_cache if query_cache is not None else QueryCache()
+        self.query_cache = QueryCache()
         self._cache: Dict[Tuple[str, str, str], StageResult] = {}
         self._lock = threading.Lock()
         #: Stage productions currently in flight → event waiters block on.
@@ -301,16 +293,6 @@ class Pipeline:
         self.cache_misses: Dict[str, int] = {name: 0 for name in STAGES}
 
     # -- cache plumbing ------------------------------------------------------
-
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            flights = list(self._flights.values())
-            self._flights.clear()
-        # Waiters wake, find no entry, and the first of them takes over
-        # each flight.
-        for flight in flights:
-            flight.set()
 
     def memo_stats(self) -> Dict[str, Any]:
         """A snapshot of the stage-memo counters (for ``repro serve`` status)."""
@@ -324,10 +306,6 @@ class Pipeline:
 
     def _memo(self, stage: str, key: str, extra: str, produce) -> StageResult:
         cache_key = (stage, key, extra)
-        if not self.memoize:
-            with self._lock:
-                self.cache_misses[stage] += 1
-            return self._produce(stage, produce)
         while True:
             with self._lock:
                 hit = self._cache.get(cache_key)
@@ -396,7 +374,7 @@ class Pipeline:
         store = config.store if witness else None
 
         def produce():
-            answers = CheckAnswers(store) if store is not None else None
+            answers = CheckRows(store) if store is not None else None
             before = store.snapshot() if store is not None else None
             try:
                 checked = check_function(
@@ -465,7 +443,6 @@ class Pipeline:
         program: Program,
         config: Optional[VerificationConfig] = None,
         stop_after: str = "verify",
-        profile: Optional[bool] = None,
         on_event: EventSink = None,
     ) -> PipelineRun:
         """Run the pipeline through ``stop_after`` (inclusive).
@@ -476,11 +453,6 @@ class Pipeline:
         inference); in the latter case the ``parse`` stage is recorded
         as instantaneous and memoization keys on the pretty-printed
         form, which round-trips through the parser.
-
-        ``profile=True`` attaches the inner-loop solver counters
-        (pivots, propagations, conflicts, restarts, interned-node hits…)
-        to the ``verify`` stage's ``solver_stats`` under a ``"profile"``
-        key (see :class:`repro.solver.profile.SolverProfile`).
 
         ``on_event`` receives the ``verify`` stage's typed
         :class:`~repro.verify.discharge.DischargeEvent` stream as units
@@ -494,8 +466,6 @@ class Pipeline:
                 f"unknown stage {stop_after!r}; expected one of {', '.join(STAGES)}"
             )
         config = config or self.config
-        if profile is not None and profile != config.profile:
-            config = dataclasses.replace(config, profile=profile)
         store = resolve_store(config.store)
         # Opened here from a path for this run alone; a caller's
         # instance (the server's shared store) stays open.
@@ -557,10 +527,6 @@ class Pipeline:
             key, run.stages["optimize"].artifact, config, on_event
         )
         return run
-
-    def run_stage(self, program: Program, stage: str, config: Optional[VerificationConfig] = None) -> StageResult:
-        """Run one named stage (and, via the cache, its prerequisites)."""
-        return self.run(program, config=config, stop_after=stage).stages[stage]
 
     def run_many(
         self,

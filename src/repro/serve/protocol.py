@@ -243,11 +243,6 @@ def config_from_wire(
     )
 
 
-def bindings_to_wire(bindings: Dict[str, Fraction]) -> Dict[str, str]:
-    """Rationals as exact strings (``Fraction(3, 2)`` → ``"3/2"``)."""
-    return {name: str(value) for name, value in sorted(bindings.items())}
-
-
 # ---------------------------------------------------------------------------
 # Results and events: pipeline → wire
 # ---------------------------------------------------------------------------

@@ -542,7 +542,6 @@ class VerifyServer:
         the trusted kernel.  No solving happens here — the target is
         prepared only to derive the premise fingerprint."""
         from repro.verify.verifier import prepare_generator
-        from repro.witness import Certificate, WitnessError, validate
 
         run = self.pipeline.run(source, config=config, stop_after="optimize")
         _, checker = prepare_generator(run.target, config)
@@ -555,7 +554,8 @@ class VerifyServer:
         if store is None:
             out["error"] = "no obligation store configured"
             return out
-        verdict = store.lookup(oid, checker.store_fingerprint)
+        audit = store.audit(oid, checker.store_fingerprint)
+        verdict = audit.verdict
         if verdict is None:
             return out
         out["found"] = True
@@ -564,15 +564,13 @@ class VerifyServer:
             out["witnessed"] = False
             return out
         out["witnessed"] = True
-        try:
-            certificate = Certificate.from_json(verdict.witness)
-            out["checked"] = validate(certificate)
-            out["validated"] = True
-            out["summary"] = certificate.summary()
-        except WitnessError as err:
+        if audit.certificate is None:
             out["validated"] = False
-            out["error"] = str(err)
+            out["error"] = audit.error
             return out
+        out["checked"] = audit.checked
+        out["validated"] = True
+        out["summary"] = audit.certificate.summary()
         if full:
             out["certificate"] = verdict.witness
         return out

@@ -30,7 +30,6 @@ from repro.solver.context import (
     normalize_query,
 )
 from repro.solver.encode import Encoder
-from repro.solver.profile import SolverProfile
 from repro.solver.smt import SatResult, SMTSolver
 
 
@@ -43,7 +42,7 @@ class ValidityChecker:
     sets across obligations.
 
     ``answers`` is an optional persistent answer source (the check
-    stage passes a :class:`repro.verify.store.CheckAnswers`): a query the
+    stage passes a :class:`repro.verify.store.CheckRows`): a query the
     cache misses is looked up there before it is solved, and every
     fresh answer is recorded there.
     """
@@ -68,8 +67,6 @@ class ValidityChecker:
         #: With witnesses on: the certificate behind every valid answer
         #: this checker relied on, by normalized query.
         self.certificates: Dict[Tuple, object] = {}
-        #: Inner-loop counters accumulated over every solve this checker ran.
-        self.profile = SolverProfile()
 
     # -- core entailment -------------------------------------------------------
 
@@ -170,7 +167,7 @@ class ValidityChecker:
         self, goal: ast.Expr, premises: Tuple[ast.Expr, ...], bool_vars: AbstractSet[str]
     ) -> Tuple[SatResult, SMTSolver]:
         encoder = Encoder(bool_vars=bool_vars, memo=self.cache.encodings)
-        solver = SMTSolver(profile=self.profile)
+        solver = SMTSolver()
         if self.witness:
             solver.enable_proof()
         for premise in premises:

@@ -52,11 +52,6 @@ class SolverProfile:
     def to_dict(self) -> Dict[str, int]:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
-    @staticmethod
-    def from_dict(data: Dict[str, int]) -> "SolverProfile":
-        names = {field.name for field in fields(SolverProfile)}
-        return SolverProfile(**{k: v for k, v in data.items() if k in names})
-
     def describe(self) -> str:
         """A compact one-line rendering for CLI output."""
         d = self.to_dict()

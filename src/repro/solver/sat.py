@@ -122,10 +122,6 @@ class CDCLSolver:
             self._phase.append(False)
             heapq.heappush(self._heap, (0.0, self.num_vars))
 
-    def new_var(self) -> int:
-        self.ensure_vars(self.num_vars + 1)
-        return self.num_vars
-
     def value(self, literal: Literal) -> Optional[bool]:
         value = self._values[abs(literal)]
         if value is None:

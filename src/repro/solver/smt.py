@@ -150,10 +150,6 @@ class SMTSolver:
 
     # -- assertion scopes ------------------------------------------------------
 
-    @property
-    def scope_depth(self) -> int:
-        return len(self._scopes)
-
     def push(self) -> None:
         """Open a retractable assertion scope."""
         self._scopes.append(self._encoder.new_selector())

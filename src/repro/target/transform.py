@@ -134,11 +134,6 @@ def lower_samples(cfg: CFG) -> CFG:
     return map_statements(cfg, _lower_sample_stmt)
 
 
-def lower_command(cmd: ast.Command) -> ast.Command:
-    """AST-level convenience wrapper around the ``lower-samples`` pass."""
-    return cfg_to_ast(lower_samples(ast_to_cfg(cmd)))
-
-
 # ---------------------------------------------------------------------------
 # Cost-variable bracketing
 # ---------------------------------------------------------------------------

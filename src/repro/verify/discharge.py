@@ -21,15 +21,15 @@ This module is the public API the verification layer is built around:
   early-exit-on-first-refutation, and the CLI renders under
   ``--progress``.
 
-:class:`repro.verify.verifier.ObligationChecker` is the configured
-engine: its ``discharge_stream`` runs the units in plan order, on the
-caller's thread, with the persistent store in front.
+:meth:`DischargeEngine.discharge_stream` runs the units in plan order,
+on the caller's thread, with the persistent store in front.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import (
@@ -49,6 +49,7 @@ from repro.core.simplify import simplify
 from repro.lang import ast
 from repro.solver import formula as F
 from repro.solver.context import (
+    CacheEntry,
     ContextStats,
     Model,
     QueryCache,
@@ -149,15 +150,6 @@ class EarlyExit:
     reason: str
 
 
-@dataclass(frozen=True)
-class RoundFinished:
-    """One Houdini pruning round finished."""
-
-    round: int
-    pruned: int
-    surviving: int
-
-
 DischargeEvent = Union[
     PlanProgress,
     UnitStarted,
@@ -165,7 +157,6 @@ DischargeEvent = Union[
     ObligationRefuted,
     UnitFinished,
     EarlyExit,
-    RoundFinished,
 ]
 
 #: An event consumer; pass None to discharge silently.
@@ -292,13 +283,27 @@ class DischargePlan:
 # ---------------------------------------------------------------------------
 
 
+#: The pseudo-unit id store-served verdicts are reported under in the
+#: event stream (they never reach a real discharge unit).
+STORE_UNIT = "store"
+
+
 class DischargeEngine:
-    """Premise assembly plus per-unit discharge against the SMT solver.
+    """Premise assembly plus discharge against the SMT solver, with the
+    persistent store in front.
 
     One engine is configured per verification run (Ψ, parameter
-    assumptions, lemma policy, query cache).  :meth:`discharge_unit`
-    solves one unit and returns its accounting, which the caller folds
-    into :attr:`stats` and :attr:`profile` in unit order.
+    assumptions, lemma policy, query cache, store).
+    :meth:`discharge_stream` groups obligations into path-prefix units;
+    :meth:`discharge_unit` asserts a unit's premises (assumptions + path
+    base) once into a :class:`SolverContext` and checks every member
+    under one pushed scope, goals conjoined with model-guided
+    refinement, and returns its accounting, which the stream folds into
+    :attr:`stats` and :attr:`profile` in unit order.  The conjoined
+    check asserts the *union* of its chunk's premise extensions — all
+    valid facts — so it can prove goals that a per-obligation query
+    spuriously refutes (more complete, never less sound); refutations
+    always come with a concrete countermodel.
     """
 
     #: Conjoined-discharge width: batches wider than this are chunked.
@@ -335,11 +340,9 @@ class DischargeEngine:
         self.witness = witness
         #: Certificates captured this run, keyed by obligation id.  A
         #: conjoined chunk shares one certificate object across all of
-        #: its members (the proof covers the conjunction).
+        #: its members (the proof covers the conjunction); a warm hit
+        #: contributes the certificate the kernel accepted.
         self.certificates: Dict[str, object] = {}
-        #: id of each distinct certificate object -> (that object, the
-        #: form the store keeps of it); see ``stored_certificate``.
-        self._stored_forms: Dict[int, Tuple[object, object]] = {}
         #: Counters merged from every solver context this engine ran.
         self.stats = ContextStats()
         #: Work units discharged so far.
@@ -413,6 +416,129 @@ class DischargeEngine:
         out = lemma_mod.sign_lemmas(encoder, self.assumptions)
         out += lemma_mod.monotonicity_lemmas(encoder, candidates)
         return out
+
+    # -- stream discharge ------------------------------------------------------
+
+    def discharge_stream(
+        self,
+        obligations: Iterable[Obligation],
+        on_failure: Optional[Callable[[Obligation], None]] = None,
+        emit: EventSink = None,
+        fail_fast: bool = False,
+    ) -> List[ObligationFailure]:
+        """Discharge an obligation stream; failures in stream order.
+
+        Units run one after another, in plan order, on the caller's
+        thread.  ``on_failure`` fires as refutations are found — Houdini
+        uses it to prune every candidate a refuting model falsifies.
+        ``emit`` receives the typed :class:`DischargeEvent` stream;
+        ``fail_fast`` stops scheduling units after the first refutation.
+
+        With a persistent store configured (and no Houdini-style
+        callback, whose verdicts are about *candidates*, not the
+        program), the stream runs in one
+        :meth:`~repro.verify.store.ObligationStore.run_scope` and each
+        streamed obligation is first offered to
+        :meth:`~repro.verify.store.ObligationStore.answer` by ``(oid,
+        fingerprint)``: answers are reported under the pseudo-unit
+        ``"store"`` without ever reaching the plan, misses flow into
+        discharge as usual, and a clean complete run writes its fresh
+        verdicts back in one transaction.
+        """
+        store = self.store if on_failure is None else None
+        with store.run_scope() if store is not None else nullcontext():
+            return self._discharge_stream(obligations, store, on_failure, emit, fail_fast)
+
+    def _discharge_stream(self, obligations, store, on_failure, emit, fail_fast):
+        #: store-refuted obligations, keyed by original stream index.
+        store_failures: Dict[int, ObligationFailure] = {}
+        #: filtered position → original stream index, for re-keying.
+        kept: List[int] = []
+        if store is not None:
+            obligations = self._store_filter(
+                obligations, store, store_failures, kept, emit, fail_fast
+            )
+        units = DischargePlan.stream_units(obligations, emit=emit)
+        results: Dict[int, ObligationFailure] = {}
+        discharged: List[DischargeUnit] = []
+        for unit in units:
+            stats, profile = self.discharge_unit(unit, results, on_failure, emit)
+            self.stats.merge(stats)
+            self.profile.merge(profile)
+            discharged.append(unit)
+            if fail_fast and results:
+                # Only an early exit if work actually remained.
+                if next(units, None) is not None:
+                    self.early_exited = True
+                    if emit is not None:
+                        emit(EarlyExit(unit.uid, "first refutation (fail-fast)"))
+                break
+        # The end of discharge is a cancellation boundary too: a cancel
+        # that arrived during the last unit's solve must not let the run
+        # report success, nor write its verdicts back.
+        self.check_cancelled(emit=emit)
+        self.units_run += len(discharged)
+        if store is None:
+            return [results[index] for index in sorted(results)]
+        # After an early exit a unit the run abandoned mid-way has
+        # members without verdicts: recording them would turn "not
+        # checked" into "valid" on the next run.
+        if not self.early_exited:
+            store.record_answers(self.store_fingerprint, [
+                (obligation.oid, obligation.tag, unit.region,
+                 self._stored_answer(obligation, results.get(index)))
+                for unit in discharged
+                for index, obligation, _ in unit.members
+            ])
+        # Solved obligations were renumbered by the filter; restore
+        # original stream indices and fold in the store verdicts so
+        # failure order matches the unfiltered stream.
+        results = {kept[index]: failure for index, failure in results.items()}
+        results.update(store_failures)
+        return [results[index] for index in sorted(results)]
+
+    def _store_filter(self, obligations, store, store_failures, kept, emit, fail_fast):
+        """Yield only the obligations the store cannot answer, reporting
+        its answers inline."""
+        fingerprint = self.store_fingerprint
+        stream = iter(obligations)
+        for index, obligation in enumerate(stream):
+            entry = store.answer(obligation.oid, fingerprint, self.witness)
+            if entry is None:
+                kept.append(index)
+                yield obligation
+            elif entry.valid:
+                if entry.certificate is not None:
+                    self.certificates[obligation.oid] = entry.certificate
+                if emit is not None:
+                    emit(ObligationDischarged(
+                        STORE_UNIT, obligation.oid, obligation.tag, cached=True
+                    ))
+            else:
+                failure = self._failure(obligation, False, entry.model)
+                store_failures[index] = failure
+                if emit is not None:
+                    emit(ObligationRefuted(
+                        STORE_UNIT, obligation.oid, obligation.tag, failure.describe()
+                    ))
+                if fail_fast:
+                    # Stop the stream before the executor produces more
+                    # work — but only call it an early exit if any remained.
+                    if kept or next(stream, None) is not None:
+                        self.early_exited = True
+                        if emit is not None:
+                            emit(EarlyExit(STORE_UNIT, "first refutation (fail-fast)"))
+                    return
+
+    def _stored_answer(
+        self, obligation: Obligation, failure: Optional[ObligationFailure]
+    ) -> CacheEntry:
+        """A discharged obligation's verdict as the answer the store keeps."""
+        if failure is None:
+            return CacheEntry(True, "unsat", certificate=self.certificates.get(obligation.oid))
+        if failure.arith_model is None and failure.bool_model is None:
+            return CacheEntry(False, "unknown")
+        return CacheEntry(False, "sat", (failure.arith_model or {}, failure.bool_model or {}))
 
     # -- unit discharge --------------------------------------------------------
 

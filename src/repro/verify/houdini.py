@@ -24,9 +24,8 @@ from repro.core.simplify import simplify
 from repro.lang import ast
 from repro.solver.context import QueryCache
 from repro.target.transform import COST_VAR, TargetProgram
-from repro.verify.discharge import EventSink, RoundFinished
+from repro.verify.discharge import DischargeEngine
 from repro.verify.verifier import (
-    ObligationChecker,
     VerificationConfig,
     VerificationOutcome,
     ObligationFailure,
@@ -215,21 +214,16 @@ def infer_invariants(
     candidates: Optional[Sequence[ast.Expr]] = None,
     peel: int = 1,
     cache: Optional[QueryCache] = None,
-    on_event: EventSink = None,
 ) -> HoudiniResult:
     """Run Houdini and verify the program with the surviving invariants.
 
-    One :class:`QueryCache` spans the whole run: obligations whose goal
-    and premises survive from one pruning round to the next (loop-entry
-    obligations of surviving candidates in particular) are answered
-    once, and the final full verification replays the last round's
-    queries out of the cache instead of re-solving them.
-
-    Pruning rounds and the final verification discharge through the
-    first-class API (:mod:`repro.verify.discharge`), and ``on_event``
-    receives the typed :class:`DischargeEvent` stream — unit/obligation
-    events from every discharge plus a :class:`RoundFinished` per
-    pruning round.
+    One :class:`QueryCache` (``cache``, or a fresh one) spans the whole
+    run: obligations whose goal and premises survive from one pruning
+    round to the next (loop-entry obligations of surviving candidates in
+    particular) are answered once, and the final full verification
+    replays the last round's queries out of the cache instead of
+    re-solving them.  Pruning rounds and the final verification
+    discharge through the first-class API (:mod:`repro.verify.discharge`).
     """
     config = config or VerificationConfig(mode="invariant")
     pool = list(candidates) if candidates is not None else default_candidates(target, config.bindings)
@@ -239,7 +233,7 @@ def infer_invariants(
     psi = _bind_psi(target.function.precondition, config.bindings)
     assumptions = [bind_expr(a, config.bindings) for a in config.assumptions]
     cache = cache if cache is not None else QueryCache()
-    checker = ObligationChecker(
+    checker = DischargeEngine(
         psi,
         assumptions,
         use_lemmas=config.use_lemmas,
@@ -259,10 +253,7 @@ def infer_invariants(
         checker.discharge_stream(
             [ob for ob in generator.obligations if _is_candidate_obligation(ob)],
             on_failure=lambda ob: bad.add(ob.label[1]),
-            emit=on_event,
         )
-        if on_event is not None:
-            on_event(RoundFinished(rounds, len(bad), len(surviving) - len(bad)))
         if not bad:
             break
         surviving = [inv for k, inv in enumerate(surviving) if k not in bad]
@@ -274,7 +265,7 @@ def infer_invariants(
     start = time.perf_counter()
     generator = VCGenerator(use_invariants=True, extra_invariants=tuple(surviving))
     generator.run(body)
-    final_checker = ObligationChecker(
+    final_checker = DischargeEngine(
         psi,
         assumptions,
         use_lemmas=config.use_lemmas,
@@ -285,7 +276,7 @@ def infer_invariants(
     # pruning signal, not failure — but the final verification honours
     # ``fail_fast``: refuting one program assertion is enough to reject.
     failures: List[ObligationFailure] = final_checker.discharge_stream(
-        generator.obligations, emit=on_event, fail_fast=config.fail_fast
+        generator.obligations, fail_fast=config.fail_fast
     )
     stats = final_checker.solver_stats()
     run_stats = checker.solver_stats()

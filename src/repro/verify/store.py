@@ -33,9 +33,14 @@ those last refreshed more than :data:`TOUCH_INTERVAL` ago, so a warm
 run over recently used rows opens no write transaction.
 
 The same table keeps the type checker's solver answers, for witnessed
-runs, under one check-stage fingerprint (:class:`CheckAnswers`): a
-program is admitted only when its type rules' side conditions hold, so
-those answers are trusted on the same terms as verdicts.
+runs, under one check-stage fingerprint (:class:`CheckRows`): a program
+is admitted only when its type rules' side conditions hold, so those
+answers are trusted on the same terms as verdicts.
+
+Whatever the stage, :meth:`ObligationStore.answer` alone turns a row
+into an answer, :meth:`ObligationStore.record_answers` alone turns
+answers into rows, and :meth:`ObligationStore.audit` re-checks a row
+for the witness tools.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import faults as faults_mod
 from repro.lang import ast
@@ -129,16 +134,60 @@ CHECK_FINGERPRINT = hashlib.sha256(
 class StoredVerdict:
     """One persisted obligation verdict, decoded and type-checked.
 
-    ``witness`` is the canonical-JSON proof certificate behind a valid
-    verdict, when the recording run emitted one (see ``repro.witness``);
-    consumers must *validate* it before trusting a witnessed hit.
+    ``model`` is a refutation's ``(arithmetic, boolean)`` countermodel,
+    when one was recorded.  ``witness`` is the canonical-JSON proof
+    certificate behind a valid verdict, when the recording run emitted
+    one (see ``repro.witness``); consumers must *validate* it before
+    trusting a witnessed hit.
     """
 
     valid: bool
     status: str
-    arith_model: Optional[Dict[str, Fraction]] = None
-    bool_model: Optional[Dict[str, bool]] = None
+    model: Optional[Tuple[Dict[str, Fraction], Dict[str, bool]]] = None
     witness: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Audit:
+    """A row as :meth:`ObligationStore.audit` re-checked it.
+
+    ``verdict`` is None when there is no row.  For a row that carries a
+    certificate, ``certificate`` and ``checked`` (the kernel's counts)
+    are set when the trusted kernel accepts it, and ``error`` says why
+    not when decoding or the kernel rejects it.
+    """
+
+    verdict: Optional[StoredVerdict]
+    certificate: Optional[Certificate] = None
+    checked: Optional[Dict[str, int]] = None
+    error: Optional[str] = None
+
+
+def stored_certificates(
+    fingerprint: str, certificates: Mapping[str, Certificate]
+) -> Dict[str, Certificate]:
+    """The form the store keeps of each oid's certificate.
+
+    That is the certificate's proof core (see
+    :func:`~repro.witness.trim_certificate`), or the certificate itself
+    when the backward check cannot re-derive its conflict — the kernel
+    then rejects it on the next warm hit — with the oid and
+    ``fingerprint`` baked into a copy; no certificate is mutated.  Each
+    distinct certificate object (a chunk's members share one) is
+    trimmed once.  A certificate already bound to an oid, as every one
+    read back from the store is, is kept as it is.
+    """
+    cores: Dict[int, Certificate] = {}
+    out: Dict[str, Certificate] = {}
+    for oid, certificate in certificates.items():
+        core = cores.get(id(certificate))
+        if core is None:
+            core = certificate
+            if certificate.oid is None:
+                core = trim_certificate(certificate) or certificate
+            cores[id(certificate)] = core
+        out[oid] = replace(core, oid=oid, fingerprint=fingerprint)
+    return out
 
 
 @dataclass
@@ -191,9 +240,9 @@ def _encode_model(verdict_model: Optional[Tuple[Dict, Dict]]) -> Optional[str]:
 
 def _decode_model(
     text: Optional[str],
-) -> Tuple[Optional[Dict[str, Fraction]], Optional[Dict[str, bool]]]:
+) -> Optional[Tuple[Dict[str, Fraction], Dict[str, bool]]]:
     if text is None:
-        return None, None
+        return None
     payload = json.loads(text)
     arith = {str(k): Fraction(v) for k, v in payload["arith"].items()}
     booleans = {str(k): bool(v) for k, v in payload["bool"].items()}
@@ -339,7 +388,7 @@ class ObligationStore:
                 status = str(row[1])
                 if status not in ("unsat", "sat", "unknown"):
                     raise ValueError(f"bad status {status!r}")
-                arith, booleans = _decode_model(row[2])
+                model = _decode_model(row[2])
                 witness = str(row[3]) if row[3] is not None else None
                 last_used = float(row[4])
                 if valid and status != "unsat":
@@ -365,30 +414,65 @@ class ObligationStore:
                     # Truncation keeps the row intact on disk while
                     # guaranteeing the validator rejects what we serve.
                     witness = witness[: len(witness) // 2]
-            return StoredVerdict(valid, status, arith, booleans, witness)
+            return StoredVerdict(valid, status, model, witness)
 
-    def validated(self, witness_text: str) -> Optional[Certificate]:
-        """Decode a stored certificate and re-check it with the trusted
-        kernel: the certificate if accepted (counted in
-        ``validated_hits``), else None (counted in ``witness_rejects``).
-        A stored ``valid`` answer is trusted only through this check.
+    def answer(
+        self, oid: str, fingerprint: str, witness: bool
+    ) -> Optional[CacheEntry]:
+        """The answer the row ``(oid, fingerprint)`` holds, or None.
 
-        Every row is decoded.  Inside a :meth:`run_scope` block the
-        kernel runs once per distinct proof: the members of a conjoined
-        chunk share one proof under different oids, and a row whose
-        proof (:meth:`Certificate.proof`) the kernel already accepted
-        in this run is served without replaying it again.
+        The one place a row becomes an answer, for the type checker's
+        queries and for verdicts alike:
+
+        * with ``witness`` on, a ``valid`` row counts only once the
+          trusted kernel accepts its certificate (counted in
+          ``validated_hits``), which comes back on the answer.  A row
+          without a certificate is a miss, and so is one whose
+          certificate fails to decode or check (counted in
+          ``witness_rejects``): the caller solves again and writes a
+          certified row over it;
+        * with ``witness`` off, a ``valid`` row is taken as stored;
+        * a refuted row is taken as stored, with its countermodel: a
+          refutation can only make the caller reject, the conservative
+          direction.
+
+        Inside a :meth:`run_scope` block the kernel runs once per
+        distinct proof (:meth:`Certificate.proof`): the members of a
+        conjoined chunk share one proof under different oids, and a row
+        whose proof the kernel already accepted in this run is served
+        without replaying it.  Every row is still decoded.  A row that
+        answers is marked used (:meth:`touch`).
         """
+        verdict = self.lookup(oid, fingerprint)
+        if verdict is None:
+            return None
+        if not verdict.valid:
+            entry = CacheEntry(False, verdict.status, verdict.model)
+        elif not witness:
+            entry = CacheEntry(True, "unsat")
+        else:
+            certificate = None
+            if verdict.witness is not None:
+                certificate = self._validated(verdict.witness)
+            if certificate is None:
+                return None
+            entry = CacheEntry(True, "unsat", certificate=certificate)
+        self.touch(fingerprint, [oid])
+        return entry
+
+    def _validated(self, witness_text: str) -> Optional[Certificate]:
+        """Decode a stored certificate and have the kernel check it, once
+        per distinct proof inside a run scope: the certificate, or None
+        when rejected."""
         accepted = getattr(self._scope, "proofs", None)
+        if accepted is None:
+            accepted = set()
         try:
             certificate = Certificate.from_json(witness_text)
-            if accepted is None:
+            proof = certificate.proof()
+            if proof not in accepted:
                 validate(certificate)
-            else:
-                proof = certificate.proof()
-                if proof not in accepted:
-                    validate(certificate)
-                    accepted.add(proof)
+                accepted.add(proof)
         except WitnessError:
             with self._lock:
                 self.counters.witness_rejects += 1
@@ -396,6 +480,25 @@ class ObligationStore:
         with self._lock:
             self.counters.validated_hits += 1
         return certificate
+
+    def audit(self, oid: str, fingerprint: str) -> Audit:
+        """Read the row ``(oid, fingerprint)`` and re-check its
+        certificate with the trusted kernel, for ``repro witness sweep``
+        and serve's ``witness`` request.
+
+        Unlike :meth:`answer` it serves no run: every certificate is
+        checked, no row is marked used, and only the lookup's
+        ``hits``/``misses`` move.
+        """
+        verdict = self.lookup(oid, fingerprint)
+        if verdict is None or verdict.witness is None:
+            return Audit(verdict)
+        try:
+            certificate = Certificate.from_json(verdict.witness)
+            checked = validate(certificate)
+        except WitnessError as err:
+            return Audit(verdict, error=str(err))
+        return Audit(verdict, certificate, checked)
 
     def oids(self, fingerprint: str) -> List[str]:
         """The oids stored under ``fingerprint``, sorted."""
@@ -422,8 +525,9 @@ class ObligationStore:
         retried on a transient busy error.  When every row's stamp, as
         its :meth:`lookup` read it, is fresh, no transaction is opened
         at all.  Inside a :meth:`run_scope` block the rows join that
-        block's batch instead.  A no-op for an empty list or a degraded
-        store; a write that still fails only leaves ``last_used`` stale.
+        block's batch instead, which is how :meth:`answer` marks each
+        row it serves.  A no-op for an empty list or a degraded store; a
+        write that still fails only leaves ``last_used`` stale.
         """
         if not oids:
             return
@@ -437,14 +541,15 @@ class ObligationStore:
     def run_scope(self) -> Iterator[None]:
         """Scope one verification run on this thread.
 
-        The block's :meth:`touch` calls are committed as one batch when
-        it exits, and :meth:`validated` runs the kernel once per
-        distinct proof inside it.  :meth:`repro.pipeline.Pipeline.run`
-        runs its stages in one, so a run marks the rows its check and
-        verify stages were answered from in a single transaction.  A
-        nested block joins the outermost one; nothing it collects
-        outlives it, so requests sharing a store share no accepted
-        proof.
+        The rows the block's :meth:`answer` calls served (and its
+        :meth:`touch` calls) are marked used in one batch when it exits,
+        however it exits, and :meth:`answer` runs the kernel once per
+        distinct proof inside it.  A discharge with a store runs in one,
+        and :meth:`repro.pipeline.Pipeline.run` runs both stages in one,
+        so a run marks the rows its check and verify stages were
+        answered from in a single transaction.  A nested block joins the
+        outermost one; nothing it collects outlives it, so requests
+        sharing a store share no accepted proof.
         """
         scope = self._scope
         if getattr(scope, "rows", None) is not None:
@@ -557,15 +662,33 @@ class ObligationStore:
         self.counters.writes += len(rows)
         return len(rows)
 
+    def record_answers(
+        self, fingerprint: str, answers: Sequence[Tuple[str, str, str, CacheEntry]]
+    ) -> int:
+        """Write ``(oid, tag, region, answer)`` entries as rows, in one
+        :meth:`record_many` batch; returns the rows written.
+
+        The one place answers become rows: a valid answer's certificate
+        is kept in its stored form (:func:`stored_certificates`), and a
+        refuted one keeps its status and countermodel.
+        """
+        forms = stored_certificates(
+            fingerprint,
+            {oid: entry.certificate for oid, _, _, entry in answers
+             if entry.certificate is not None},
+        )
+        return self.record_many(fingerprint, [
+            (oid, tag, region, entry.valid, entry.status, entry.model,
+             forms[oid].to_json() if oid in forms else None)
+            for oid, tag, region, entry in answers
+        ])
+
     def _record_memory(self, fingerprint: str, entries) -> int:
         """Keep a batch's verdicts in memory (the degraded write path);
         callers hold ``self._lock``."""
         for oid, tag, region, valid, status, model, witness in entries:
-            arith = booleans = None
-            if model is not None:
-                arith, booleans = model
             self._memory[(oid, fingerprint)] = StoredVerdict(
-                bool(valid), status, arith, booleans, witness
+                bool(valid), status, model, witness
             )
         self.counters.memory_writes += len(entries)
         return len(entries)
@@ -697,65 +820,28 @@ class ObligationStore:
         return out
 
 
-class CheckAnswers:
-    """The type checker's answers, kept as rows of an :class:`ObligationStore`.
+class CheckRows:
+    """The type checker's answer source: its queries as store rows.
 
-    The check stage's :class:`~repro.solver.interface.ValidityChecker`
-    consults :meth:`lookup` before each solve and reports each fresh
-    answer to :meth:`record`.  A row's oid is
-    :func:`~repro.solver.context.query_oid` of the normalized query and
-    its fingerprint is :data:`CHECK_FINGERPRINT`.
-
-    * A ``valid`` row is used only after the trusted kernel accepts its
-      certificate.  A rejected certificate is counted in
-      ``witness_rejects`` and the query is solved again; a valid row
-      without a certificate is solved again too.
-    * A refuted row is used as stored: a refutation can only make the
-      checker reject, the conservative direction.
-
-    :meth:`flush` writes the fresh answers, with their trimmed
-    certificates, in one transaction and touches the rows used.
+    A query's row is keyed by :func:`~repro.solver.context.query_oid` of
+    the normalized query under :data:`CHECK_FINGERPRINT`, tagged
+    ``check``.  :meth:`ObligationStore.answer` decides what a row is
+    worth, witnessed, as for verdicts; fresh answers are written by
+    :meth:`flush` in one transaction.
     """
 
     def __init__(self, store: ObligationStore) -> None:
         self.store = store
-        self._used: List[str] = []
-        self._fresh: List[Tuple] = []
+        self._fresh: List[Tuple[str, str, str, CacheEntry]] = []
 
     def lookup(self, key: Tuple) -> Optional[CacheEntry]:
-        oid = query_oid(key)
-        verdict = self.store.lookup(oid, CHECK_FINGERPRINT)
-        if verdict is None:
-            return None
-        if verdict.valid:
-            certificate = None
-            if verdict.witness is not None:
-                certificate = self.store.validated(verdict.witness)
-            if certificate is None:
-                return None
-            entry = CacheEntry(True, "unsat", certificate=certificate)
-        else:
-            model = None
-            if verdict.arith_model is not None or verdict.bool_model is not None:
-                model = (verdict.arith_model or {}, verdict.bool_model or {})
-            entry = CacheEntry(False, verdict.status, model)
-        self._used.append(oid)
-        return entry
+        return self.store.answer(query_oid(key), CHECK_FINGERPRINT, witness=True)
 
     def record(self, key: Tuple, entry: CacheEntry) -> None:
-        oid = query_oid(key)
-        witness = None
-        if entry.certificate is not None:
-            core = trim_certificate(entry.certificate) or entry.certificate
-            witness = replace(core, oid=oid, fingerprint=CHECK_FINGERPRINT).to_json()
-        self._fresh.append(
-            (oid, "check", "", entry.valid, entry.status, entry.model, witness)
-        )
+        self._fresh.append((query_oid(key), "check", "", entry))
 
     def flush(self) -> None:
-        """Write the fresh answers and touch the rows that were used."""
-        self.store.record_many(CHECK_FINGERPRINT, self._fresh)
-        self.store.touch(CHECK_FINGERPRINT, self._used)
+        self.store.record_answers(CHECK_FINGERPRINT, self._fresh)
 
 
 def resolve_store(value: object) -> Optional[ObligationStore]:

@@ -11,8 +11,9 @@ The discharge machinery itself is the first-class API in
 :mod:`repro.verify.discharge`: the symbolic executor streams
 :class:`~repro.verify.vcgen.Obligation`\\ s with provenance, a
 :class:`~repro.verify.discharge.DischargePlan` partitions the stream
-into addressable units, and :class:`ObligationChecker` discharges them
-in plan order, each under one solver context, while emitting a typed
+into addressable units, and a
+:class:`~repro.verify.discharge.DischargeEngine` discharges them in plan
+order, each under one solver context, while emitting a typed
 :class:`DischargeEvent` stream.  This module wires a
 :class:`VerificationConfig` to that API.
 
@@ -31,17 +32,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.simplify import simplify
 from repro.ir import ast_to_cfg, fold_constant_guards
@@ -49,23 +42,9 @@ from repro.lang import ast
 from repro.solver import intern
 from repro.solver.context import QueryCache
 from repro.target.transform import TargetProgram
-from repro.verify.discharge import (
-    DischargeEngine,
-    DischargePlan,
-    DischargeUnit,
-    EarlyExit,
-    EventSink,
-    ObligationDischarged,
-    ObligationFailure,
-    ObligationRefuted,
-)
+from repro.verify.discharge import DischargeEngine, EventSink, ObligationFailure
 from repro.verify.store import ObligationStore, resolve_store
 from repro.verify.vcgen import Obligation, VCGenerator
-from repro.witness import Certificate, trim_certificate
-
-#: The pseudo-unit id store-served verdicts are reported under in the
-#: event stream (they never reach a real discharge unit).
-STORE_UNIT = "store"
 
 
 @dataclass
@@ -88,7 +67,6 @@ class VerificationConfig:
     bindings: Dict[str, Fraction] = field(default_factory=dict)
     assumptions: Tuple[ast.Expr, ...] = ()
     unroll_limit: int = 64
-    extra_invariants: Tuple[ast.Expr, ...] = ()
     use_lemmas: bool = True
     collect_models: bool = True
     fail_fast: bool = False
@@ -230,239 +208,6 @@ def bind_command(cmd: ast.Command, bindings: Dict[str, Fraction]) -> ast.Command
 
 
 # ---------------------------------------------------------------------------
-# Obligation discharge
-# ---------------------------------------------------------------------------
-
-
-class ObligationChecker(DischargeEngine):
-    """The configured discharge engine, with the persistent store in front.
-
-    Obligations are grouped into path-prefix units; each unit's premises
-    (assumptions + path base) are asserted once into a
-    :class:`SolverContext` and every member is checked under one pushed
-    scope, goals conjoined with model-guided refinement.  The conjoined
-    check asserts the *union* of its chunk's premise extensions — all
-    valid facts — so it can prove goals that a per-obligation query
-    spuriously refutes (more complete, never less sound); refutations
-    always come with a concrete countermodel.
-    """
-
-    # -- discharge -------------------------------------------------------------
-
-    def discharge_stream(
-        self,
-        obligations,
-        on_failure: Optional[Callable[[Obligation], None]] = None,
-        emit: EventSink = None,
-        fail_fast: bool = False,
-    ) -> List[ObligationFailure]:
-        """Discharge an obligation stream; failures in stream order.
-
-        Units run one after another, in plan order, on the caller's
-        thread.  ``on_failure`` fires as refutations are found — Houdini
-        uses it to prune every candidate a refuting model falsifies.
-        ``emit`` receives the typed :class:`DischargeEvent` stream;
-        ``fail_fast`` stops scheduling units after the first refutation.
-
-        With a persistent store configured (and no Houdini-style
-        callback, whose verdicts are about *candidates*, not the
-        program), each streamed obligation is first looked up by
-        ``(oid, fingerprint)``: hits are reported under the pseudo-unit
-        ``"store"`` without ever reaching the plan, misses flow into
-        discharge as usual, and a clean complete run writes its fresh
-        verdicts back in one transaction.  The rows that answered hits
-        get their ``last_used`` refreshed in one batch per run, fail-fast
-        exits included.
-        """
-        store = self.store if on_failure is None else None
-        #: store-refuted obligations, keyed by original stream index.
-        store_failures: Dict[int, ObligationFailure] = {}
-        #: filtered position → original stream index, for re-keying.
-        kept: List[int] = []
-        #: oids answered from the store, for the one ``last_used`` batch.
-        answered: List[str] = []
-        if store is not None:
-            obligations = self._store_filter(
-                obligations, store, store_failures, kept, answered, emit, fail_fast
-            )
-        units = DischargePlan.stream_units(obligations, emit=emit)
-        results: Dict[int, ObligationFailure] = {}
-        discharged: List[DischargeUnit] = []
-        for unit in units:
-            stats, profile = self.discharge_unit(unit, results, on_failure, emit)
-            self.stats.merge(stats)
-            self.profile.merge(profile)
-            discharged.append(unit)
-            if fail_fast and results:
-                # Only an early exit if work actually remained.
-                if next(units, None) is not None:
-                    self.early_exited = True
-                    if emit is not None:
-                        emit(EarlyExit(unit.uid, "first refutation (fail-fast)"))
-                break
-        # The end of discharge is a cancellation boundary too: a cancel
-        # that arrived during the last unit's solve must not let the run
-        # report success, nor write its verdicts back.
-        self.check_cancelled(emit=emit)
-        self.units_run += len(discharged)
-        if store is not None:
-            store.touch(self.store_fingerprint, answered)
-            self._store_writeback(store, discharged, results)
-            # Solved obligations were renumbered by the filter; restore
-            # original stream indices and fold in the store verdicts so
-            # failure order matches the unfiltered stream.
-            results = {kept[index]: failure for index, failure in results.items()}
-            results.update(store_failures)
-        return [results[index] for index in sorted(results)]
-
-    def _store_filter(
-        self,
-        obligations,
-        store: ObligationStore,
-        store_failures: Dict[int, ObligationFailure],
-        kept: List[int],
-        answered: List[str],
-        emit: EventSink,
-        fail_fast: bool,
-    ):
-        """Yield only store-missed obligations, reporting hits inline and
-        collecting the oids they answered into ``answered``."""
-        fingerprint = self.store_fingerprint
-        stream = iter(obligations)
-        index = -1
-        while True:
-            obligation = next(stream, None)
-            if obligation is None:
-                return
-            index += 1
-            verdict = store.lookup(obligation.oid, fingerprint)
-            if verdict is None:
-                kept.append(index)
-                yield obligation
-                continue
-            if verdict.valid:
-                if self.witness and verdict.witness is not None:
-                    # Witnessed regime: a warm hit is only trusted after
-                    # its stored certificate passes the trusted kernel.
-                    # A reject (corruption, tampering) degrades this hit
-                    # to an ordinary re-solve — counted, never trusted.
-                    if not self._validated_hit(store, obligation, verdict.witness):
-                        kept.append(index)
-                        yield obligation
-                        continue
-                answered.append(obligation.oid)
-                if emit is not None:
-                    emit(
-                        ObligationDischarged(
-                            STORE_UNIT, obligation.oid, obligation.tag, cached=True
-                        )
-                    )
-                continue
-            model = None
-            if verdict.arith_model is not None or verdict.bool_model is not None:
-                model = (verdict.arith_model or {}, verdict.bool_model or {})
-            failure = self._failure(obligation, False, model)
-            store_failures[index] = failure
-            answered.append(obligation.oid)
-            if emit is not None:
-                emit(
-                    ObligationRefuted(
-                        STORE_UNIT, obligation.oid, obligation.tag, failure.describe()
-                    )
-                )
-            if fail_fast:
-                # Stop the stream before the executor produces more
-                # work — but only call it an early exit if any remained.
-                if kept or next(stream, None) is not None:
-                    self.early_exited = True
-                    if emit is not None:
-                        emit(EarlyExit(STORE_UNIT, "first refutation (fail-fast)"))
-                return
-
-    def _validated_hit(
-        self, store: ObligationStore, obligation: Obligation, witness_text: str
-    ) -> bool:
-        """Re-check a stored certificate; True iff the kernel accepts it.
-
-        Accepted certificates are re-collected on the checker (so a
-        fully-warm run still exposes every proof), and the validation is
-        tallied on the store's counters either way.
-        """
-        certificate = store.validated(witness_text)
-        if certificate is None:
-            return False
-        self.certificates[obligation.oid] = certificate
-        # Already in stored form: served as read, never re-trimmed.
-        self._stored_forms[id(certificate)] = (certificate, certificate)
-        return True
-
-    def _store_writeback(
-        self,
-        store: ObligationStore,
-        discharged: List[DischargeUnit],
-        results: Dict[int, ObligationFailure],
-    ) -> None:
-        """Persist fresh verdicts from fully-discharged units.
-
-        Skipped entirely after an early exit (fail-fast or
-        cancellation): a unit the run abandoned mid-way has members
-        without verdicts, and recording them would turn "not checked"
-        into "valid" on the next run.
-        """
-        if self.early_exited:
-            return
-        rows = []
-        for unit in discharged:
-            region = unit.region
-            for member_index, obligation, _ in unit.members:
-                failure = results.get(member_index)
-                if failure is None:
-                    rows.append(
-                        (obligation.oid, obligation.tag, region, True, "unsat", None,
-                         self.witness_text(obligation.oid))
-                    )
-                else:
-                    model = None
-                    status = "unknown"
-                    if failure.arith_model is not None or failure.bool_model is not None:
-                        model = (failure.arith_model or {}, failure.bool_model or {})
-                        status = "sat"
-                    rows.append(
-                        (obligation.oid, obligation.tag, region, False, status, model,
-                         None)
-                    )
-        store.record_many(self.store_fingerprint, rows)
-
-    def stored_certificate(self, oid: str) -> Optional[Certificate]:
-        """The certificate for ``oid`` as the store keeps it, or None.
-
-        That is the proof core of the collected certificate (see
-        :func:`~repro.witness.trim_certificate`), or the certificate
-        itself when the backward check cannot re-derive its conflict —
-        the kernel then rejects it on the next warm hit.  A certificate
-        a warm hit read back from the store is served as read.  Each
-        distinct certificate object (a chunk's members share one) is
-        trimmed once per run.  The oid and premise fingerprint are baked
-        into a copy; the in-memory object is never mutated.
-        """
-        certificate = self.certificates.get(oid)
-        if certificate is None:
-            return None
-        entry = self._stored_forms.get(id(certificate))
-        if entry is None:
-            entry = (certificate, trim_certificate(certificate) or certificate)
-            self._stored_forms[id(certificate)] = entry
-        return replace(entry[1], oid=oid, fingerprint=self.store_fingerprint)
-
-    def witness_text(self, oid: str) -> Optional[str]:
-        """The canonical serialized form of :meth:`stored_certificate`:
-        what store write-back persists and ``repro witness show --oid``
-        prints."""
-        certificate = self.stored_certificate(oid)
-        return None if certificate is None else certificate.to_json()
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -471,8 +216,8 @@ def prepare_generator(
     target: TargetProgram,
     config: VerificationConfig,
     cache: Optional[QueryCache] = None,
-) -> Tuple[VCGenerator, ObligationChecker]:
-    """The configured symbolic executor and checker for one run.
+) -> Tuple[VCGenerator, DischargeEngine]:
+    """The configured symbolic executor and discharge engine for one run.
 
     Shared by :func:`verify_target`, :func:`iter_obligations` and the
     CLI's ``repro obligations`` listing: parameters are bound, the body
@@ -488,9 +233,8 @@ def prepare_generator(
     generator = VCGenerator(
         unroll_limit=config.unroll_limit,
         use_invariants=(config.mode == "invariant"),
-        extra_invariants=tuple(bind_expr(i, config.bindings) for i in config.extra_invariants),
     )
-    checker = ObligationChecker(
+    checker = DischargeEngine(
         psi,
         assumptions,
         use_lemmas=config.use_lemmas,

@@ -3,8 +3,8 @@
 Covers the acceptance surface of the staged API: per-stage runs with
 timing/accounting, end-to-end verification of registry algorithms,
 batch mode with demonstrable stage-level memoization, refutation of a
-buggy SVT variant with a concrete counterexample, a one-shot unmemoized
-run, and the ``python -m repro pipeline`` CLI.
+buggy SVT variant with a concrete counterexample, a fresh run against
+a memo hit, and the ``python -m repro pipeline`` CLI.
 """
 
 import json
@@ -52,7 +52,7 @@ class TestStages:
         assert STAGES == ("parse", "check", "lower_ir", "lower", "optimize", "verify")
 
     def test_run_stops_after_each_stage(self):
-        pipe = Pipeline(memoize=False)
+        pipe = Pipeline()
         for k, stage in enumerate(STAGES[:-1]):  # verify covered below
             run = pipe.run(SVT.source, stop_after=stage)
             assert list(run.stages) == list(STAGES[: k + 1])
@@ -142,11 +142,14 @@ class TestEndToEnd:
 
     def test_unmemoized_run_matches_memoized_run(self):
         config = SVT.verification_config()
-        one_shot = Pipeline(memoize=False).run(SVT.source, config=config)
-        staged = Pipeline().run(SVT.source, config=config)
-        assert one_shot.verified and staged.verified
-        assert one_shot.target.body == staged.target.body
-        assert one_shot.checked.aligned_only == staged.checked.aligned_only
+        pipe = Pipeline()
+        fresh = pipe.run(SVT.source, config=config)
+        hit = pipe.run(SVT.source, config=config)
+        assert not any(r.cached for r in fresh.stages.values())
+        assert all(r.cached for r in hit.stages.values())
+        assert fresh.verified and hit.verified
+        assert fresh.target.body == hit.target.body
+        assert fresh.checked.aligned_only == hit.checked.aligned_only
 
 
 def test_package_imports_nothing_from_benchmarks():
@@ -217,12 +220,6 @@ class TestMemoization:
         assert pipe.cache_hits["check"] == 2
         assert pipe.cache_hits["lower"] == 2
         assert pipe.cache_hits["verify"] == 2
-
-    def test_memoize_false_never_caches(self):
-        pipe = Pipeline(memoize=False)
-        pipe.run(SVT.source, stop_after="check")
-        run = pipe.run(SVT.source, stop_after="check")
-        assert not any(r.cached for r in run.stages.values())
 
     def test_check_stage_shares_the_query_cache(self):
         """A program new to the stage memo (here: the same function with

@@ -12,14 +12,18 @@ import json
 import os
 import re
 import sqlite3
+import threading
 import time
 
 import pytest
 
 from repro import faults
 from repro.algorithms import get
+from repro.core.errors import ShadowDPTypeError
 from repro.pipeline import Pipeline, spec_config
+from repro.verify.discharge import DischargeCancelled
 from repro.verify.store import (
+    CHECK_FINGERPRINT,
     SCHEMA_VERSION,
     STORE_ENV_VAR,
     TOUCH_INTERVAL,
@@ -391,6 +395,53 @@ class TestLastUsed:
         assert faults.active().snapshot() == [
             ("store-busy", str(cold.obligations_total + 1))
         ]
+        assert min(_last_used(path).values()) > 0
+
+    def test_fail_fast_stop_on_a_stored_refutation_marks_the_rows_read(self, tmp_path):
+        path = os.fspath(tmp_path / "store.sqlite")
+        cold = _run("bad_svt_no_threshold_noise", path)
+        refuted = {failure.obligation.oid for failure in cold.failures}
+        first = next(i for i, oid in enumerate(cold.oids) if oid in refuted)
+        assert first + 1 < len(cold.oids)
+        _age_rows(path)
+        warm = _run("bad_svt_no_threshold_noise", path, fail_fast=True)
+        assert warm.early_exit and warm.solve_calls == 0
+        assert warm.store["hits"] == first + 1 and warm.store["writes"] == 0
+        used = {oid for oid, stamp in _last_used(path).items() if stamp > 0}
+        assert used == set(cold.oids[: first + 1])
+
+    def test_cancelled_verify_marks_every_row_it_read(self, tmp_path):
+        # A row that answered a query is used, however the run ends: the
+        # cancel lands after every verify-stage row was read.
+        path = os.fspath(tmp_path / "store.sqlite")
+        spec = get("svt")
+        config = _config(spec_config(spec), store=path, witness=True)
+        Pipeline().run(spec.source, config=config)
+        _age_rows(path)
+        cancel = threading.Event()
+        cancel.set()
+        with pytest.raises(DischargeCancelled):
+            Pipeline().run(spec.source, config=_config(config, cancel_event=cancel))
+        stamps = _sql(path, "SELECT fp, last_used FROM obligations")
+        assert {fp == CHECK_FINGERPRINT for fp, _ in stamps} == {True, False}
+        assert min(stamp for _, stamp in stamps) > 0
+
+    def test_type_rejected_candidate_writes_and_marks_its_check_rows(self, tmp_path):
+        path = os.fspath(tmp_path / "store.sqlite")
+        spec = get("svt")
+        # Not injective: the check stage asks one question, then rejects.
+        source = spec.source.replace("Omega ? 2 : 0", "Omega ? -2 : 0")
+        config = _config(spec_config(spec), store=path, witness=True)
+        with pytest.raises(ShadowDPTypeError) as cold:
+            Pipeline().run(source, config=config)
+        assert cold.value.solve_calls == 1
+        assert [fp for fp, _ in _sql(path, "SELECT fp, valid FROM obligations")] == [
+            CHECK_FINGERPRINT
+        ]
+        _age_rows(path)
+        with pytest.raises(ShadowDPTypeError) as warm:
+            Pipeline().run(source, config=config)
+        assert warm.value.solve_calls == 0
         assert min(_last_used(path).values()) > 0
 
 

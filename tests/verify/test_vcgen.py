@@ -6,12 +6,9 @@ import pytest
 
 from repro.lang import ast
 from repro.lang.parser import parse_command, parse_expr
+from repro.verify.discharge import DischargeEngine
 from repro.verify.vcgen import VCGenerator, VCGenError
-from repro.verify.verifier import (
-    ObligationChecker,
-    VerificationConfig,
-    bind_command,
-)
+from repro.verify.verifier import VerificationConfig, bind_command
 
 
 def run(source, **kwargs):
@@ -180,14 +177,16 @@ def _check(checker, obligation):
 
 
 class TestObligationChecker:
+    """Single obligations through :class:`DischargeEngine`."""
+
     def test_valid_obligation_passes(self):
         gen, _, _ = run("havoc x; assume(x > 1); assert(x > 0);")
-        checker = ObligationChecker(ast.TRUE, [])
+        checker = DischargeEngine(ast.TRUE, [])
         assert _check(checker, gen.obligations[0]) is None
 
     def test_invalid_obligation_yields_model(self):
         gen, _, _ = run("havoc x; assert(x > 0);")
-        checker = ObligationChecker(ast.TRUE, [])
+        checker = DischargeEngine(ast.TRUE, [])
         failure = _check(checker, gen.obligations[0])
         assert failure is not None
         (value,) = [v for k, v in failure.arith_model.items() if k.startswith("x")]
@@ -196,13 +195,13 @@ class TestObligationChecker:
     def test_precondition_instantiation(self):
         gen, _, _ = run("havoc i; assert(q^o[i] <= 1);")
         psi = parse_expr("forall k :: -1 <= q^o[k] && q^o[k] <= 1")
-        checker = ObligationChecker(psi, [])
+        checker = DischargeEngine(psi, [])
         assert _check(checker, gen.obligations[0]) is None
 
     def test_assumptions_used(self):
         gen, _, _ = run("x := 0; assert(x <= eps);")
-        assert _check(ObligationChecker(ast.TRUE, [parse_expr("eps > 0")]), gen.obligations[0]) is None
-        assert _check(ObligationChecker(ast.TRUE, []), gen.obligations[0]) is not None
+        assert _check(DischargeEngine(ast.TRUE, [parse_expr("eps > 0")]), gen.obligations[0]) is None
+        assert _check(DischargeEngine(ast.TRUE, []), gen.obligations[0]) is not None
 
     def test_nonlinear_monotonicity(self):
         # count <= N ∧ eps > 0 ∧ N >= 1 ⊨ count·(eps/N) <= eps — needs the
@@ -211,7 +210,7 @@ class TestObligationChecker:
             "havoc count; havoc cost; assume(count <= N); assume(count >= 0);"
             "cost := count * (eps / N); assert(cost <= eps);"
         )
-        checker = ObligationChecker(
+        checker = DischargeEngine(
             ast.TRUE, [parse_expr("eps > 0"), parse_expr("N >= 1")]
         )
         assert _check(checker, gen.obligations[0]) is None
@@ -244,7 +243,7 @@ class TestEndToEndConfigs:
         """
         # Alignment 5 is injective and type checks, but costs 5·eps > eps.
         config = VerificationConfig(assumptions=(parse_expr("eps > 0"),))
-        result = Pipeline(memoize=False).run(source, config=config)
+        result = Pipeline().run(source, config=config)
         assert not result.outcome.verified
         assert result.outcome.failures
 
@@ -260,7 +259,7 @@ class TestEndToEndConfigs:
         }
         """
         config = VerificationConfig(assumptions=(parse_expr("eps > 0"),))
-        result = Pipeline(memoize=False).run(source, config=config)
+        result = Pipeline().run(source, config=config)
         assert result.outcome.verified
 
 

@@ -11,8 +11,9 @@ import pytest
 from repro.algorithms import get
 from repro.lang.parser import parse_expr
 from repro.pipeline import Pipeline, spec_config
+from repro.solver.context import CacheEntry
 from repro.solver.interface import ValidityChecker
-from repro.verify.store import ObligationStore
+from repro.verify.store import ObligationStore, stored_certificates
 from repro.verify.verifier import prepare_generator, target_cfg
 from repro.witness import SCHEMA_VERSION, Certificate, WitnessError, validate
 
@@ -29,6 +30,11 @@ def svt_certificates():
     assert not failures
     assert checker.certificates
     return checker
+
+
+def _stored(checker):
+    """oid → the certificate as the store keeps it."""
+    return stored_certificates(checker.store_fingerprint, checker.certificates)
 
 
 def _rationals(certificate):
@@ -52,7 +58,7 @@ def _with_rational(checker, position, spelling):
         for oid, certificate in checker.certificates.items()
         if any(event[0] == "lemma" for event in certificate.events)
     )
-    payload = json.loads(checker.witness_text(oid))
+    payload = json.loads(_stored(checker)[oid].to_json())
     value = json.loads(spelling)
     if position == "farkas":
         lemma = next(event for event in payload["events"] if event[0] == "lemma")
@@ -88,7 +94,7 @@ class TestCanonicalJson:
         checker = svt_certificates
         oid = next(iter(checker.certificates))
         original = checker.certificates[oid]
-        text = checker.witness_text(oid)
+        text = _stored(checker)[oid].to_json()
         bound = Certificate.from_json(text)
         assert bound.oid == oid
         assert bound.fingerprint == checker.store_fingerprint
@@ -182,10 +188,10 @@ class TestStoreRoundTrip:
         store = ObligationStore(os.fspath(tmp_path / "store.sqlite"))
         fingerprint = checker.store_fingerprint
         rows = [
-            (oid, "assert", "fn", True, "unsat", None, checker.witness_text(oid))
-            for oid in checker.certificates
+            (oid, "assert", "fn", CacheEntry(True, "unsat", certificate=certificate))
+            for oid, certificate in checker.certificates.items()
         ]
-        store.record_many(fingerprint, rows)
+        assert store.record_answers(fingerprint, rows) == len(rows)
         assert store.witness_count() == len(rows)
         for oid, *_ in rows:
             verdict = store.lookup(oid, fingerprint)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.algorithms import all_specs, get
 from repro.pipeline import spec_config
-from repro.verify.store import ObligationStore
+from repro.verify.store import ObligationStore, stored_certificates
 from repro.verify.verifier import prepare_generator, target_cfg, verify_target
 from repro.witness import Certificate, WitnessError, trim_certificate, validate
 
@@ -104,6 +104,12 @@ def cores(registry_certificates):
     return [(cert, trim_certificate(cert)) for cert in distinct.values()]
 
 
+def _stored_texts(checker):
+    """oid → the text the store keeps of its certificate."""
+    stored = stored_certificates(checker.store_fingerprint, checker.certificates)
+    return {oid: certificate.to_json() for oid, certificate in stored.items()}
+
+
 def _discharged(spec, **overrides):
     """A witnessed checker that has discharged ``spec`` (writing back to
     the store when ``store`` is among the overrides)."""
@@ -179,7 +185,8 @@ class TestStoredForm:
         oid, truncated = next(pair for pair in halves if _rejected(pair[1]))
         assert trim_certificate(truncated) is None
         checker.certificates[oid] = truncated
-        assert checker.witness_text(oid) == dataclasses.replace(
+        texts = _stored_texts(checker)
+        assert texts[oid] == dataclasses.replace(
             truncated, oid=oid, fingerprint=fingerprint
         ).to_json()
 
@@ -187,7 +194,7 @@ class TestStoredForm:
         path = os.fspath(tmp_path / "store.sqlite")
         store = ObligationStore(path)
         store.record_many(fingerprint, [
-            (other, "assert", "fn", True, "unsat", None, checker.witness_text(other))
+            (other, "assert", "fn", True, "unsat", None, texts[other])
             for other in checker.certificates
         ])
         store.close()
@@ -209,7 +216,8 @@ class TestStoredForm:
              dataclasses.replace(cert, oid=oid, fingerprint=fingerprint).to_json())
             for oid, cert in emitted.certificates.items()
         ]
-        assert all(row[-1] != emitted.witness_text(row[0]) for row in rows)
+        stored = _stored_texts(emitted)
+        assert all(row[-1] != stored[row[0]] for row in rows)
         path = tmp_path / "store.sqlite"
         store = ObligationStore(os.fspath(path))
         store.record_many(fingerprint, rows)
@@ -225,7 +233,8 @@ class TestStoredForm:
         # No migration: the rows keep their untrimmed text, and the hits
         # are described as stored.
         assert _rows(path) == before
-        assert [(oid, warm.witness_text(oid)) for oid, _ in before] == before
+        stored = _stored_texts(warm)
+        assert [(oid, stored[oid]) for oid, _ in before] == before
 
     def test_cold_runs_write_the_stored_form_deterministically(self, tmp_path):
         spec = get("smart_sum")
@@ -234,8 +243,6 @@ class TestStoredForm:
             path = tmp_path / f"{run}.sqlite"
             checker = _discharged(spec, store=os.fspath(path))
             rows = _rows(path, "oid, fp, valid, status, model, witness, tag, region")
-            assert {row[0]: row[5] for row in rows} == {
-                oid: checker.witness_text(oid) for oid in checker.certificates
-            }
+            assert {row[0]: row[5] for row in rows} == _stored_texts(checker)
             written.append(rows)
         assert written[0] == written[1]

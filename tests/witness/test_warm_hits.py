@@ -187,6 +187,44 @@ class TestSharedQueryCache:
         assert _rows(tmp_path / "shared.sqlite") == _rows(tmp_path / "private.sqlite")
 
 
+class TestRowsWithoutCertificate:
+    """In a witnessed run a valid row counts only once the kernel
+    accepts its certificate, in both stages: a row written without one
+    (by an unwitnessed run, or with its certificate gone) is a miss,
+    re-solved and rewritten certified."""
+
+    @pytest.mark.parametrize("source", ["unwitnessed-run", "null-witness"])
+    def test_witnessed_run_recertifies_both_stages(self, tmp_path, source):
+        spec = get("svt")
+        store_path = tmp_path / "store.sqlite"
+        config = _witnessed_config(spec, store_path)
+        if source == "unwitnessed-run":
+            Pipeline().run(spec.source, config=dataclasses.replace(config, witness=False))
+        else:
+            Pipeline().run(spec.source, config=config)
+            conn = sqlite3.connect(os.fspath(store_path))
+            with conn:
+                conn.execute("UPDATE obligations SET witness = NULL")
+            conn.close()
+        valid = [row for row in _rows(store_path) if row[2]]
+        assert valid and all(row[-1] is None for row in valid)
+
+        run = Pipeline().run(spec.source, config=config)
+        outcome = run.outcome
+        assert outcome.verified
+        assert outcome.solve_calls > 0
+        assert outcome.store["validated_hits"] == outcome.store["witness_rejects"] == 0
+        assert outcome.store["writes"] == outcome.obligations_total
+        assert outcome.witnesses == outcome.obligations_total
+        assert run.stages["check"].solver_stats["solve_calls"] > 0
+        for check_stage in (False, True):
+            rows = _rows(store_path, check_stage)
+            assert any(row[2] for row in rows)
+            for _oid, _fp, valid, _status, witness in rows:
+                if valid:
+                    validate(Certificate.from_json(witness))
+
+
 def _kernel_runs(monkeypatch):
     """A live list of the certificates the trusted kernel checks on
     store hits."""
