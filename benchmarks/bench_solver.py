@@ -5,10 +5,10 @@ programs through one shared normalized-query :class:`QueryCache`:
 ``noisy_max``, ``svt`` and ``bad_svt_no_budget`` in the unroll regime,
 ``svt`` in the invariant regime, and annotation-free Houdini on
 ``noisy_max``.  With a pinned hash seed its counters (queries asked,
-cache hits, DPLL(T) solve calls, rounds, simplex pivots) are
-deterministic for a given code state, so the guard compares them with
-the references committed in ``BENCH_solver.json`` instead of timing
-anything.  It also runs the **hard row** (``num_svt`` in the Fix-ε
+cache hits, DPLL(T) solve calls, rounds, simplex pivots, encodings
+performed) are deterministic for a given code state, so the guard
+compares them with the references committed in ``BENCH_solver.json``
+instead of timing anything.  It also runs the **hard row** (``num_svt`` in the Fix-ε
 regime, the registry's slowest program) outside the sweep totals, a
 cold/warm pass through a persistent store, and a witnessed/plain
 comparison with trusted revalidation of the emitted certificates.
@@ -16,10 +16,11 @@ comparison with trusted revalidation of the emitted certificates.
 Usage::
 
     # CI regression guard: fail on >20% growth of the sweep's solve
-    # calls, rounds or pivots and of the hard row's rounds or pivots;
-    # on any change of the sweep's queries, cache hits or solve calls;
-    # on a warm-store solve; on witness emission that moves a counter,
-    # costs more than WITNESS_OVERHEAD_LIMIT or fails revalidation.
+    # calls, rounds, pivots or encodings and of the hard row's rounds or
+    # pivots; on any change of the sweep's queries, cache hits or solve
+    # calls; on a warm-store solve; on witness emission that moves a
+    # counter, costs more than WITNESS_OVERHEAD_LIMIT or fails
+    # revalidation.
     PYTHONPATH=src python benchmarks/bench_solver.py --guard BENCH_solver.json
 
     # After an intended solver change: refresh the committed references
@@ -116,6 +117,7 @@ def run_workloads() -> Dict:
     workloads: Dict[str, Dict] = {}
     for workload, names, run in SWEEP:
         entry = dict.fromkeys(("queries", "cache_hits", "solve_calls"), 0)
+        encodings = cache.encodings.misses
         start = time.perf_counter()
         for name in names:
             stats, profile = run(get(name), cache)
@@ -125,11 +127,13 @@ def run_workloads() -> Dict:
                 for key in ("pivots", "rounds"):
                     entry[key] = entry.get(key, 0) + profile[key]
         entry["seconds"] = round(time.perf_counter() - start, 3)
+        # Encodings performed: misses of the sweep cache's encoding memo.
+        entry["encodings"] = cache.encodings.misses - encodings
         workloads[workload] = entry
 
     totals: Dict = {
         key: sum(w.get(key, 0) for w in workloads.values())
-        for key in ("queries", "cache_hits", "solve_calls", "pivots", "rounds")
+        for key in ("queries", "cache_hits", "solve_calls", "pivots", "rounds", "encodings")
     }
     totals["seconds"] = round(sum(w["seconds"] for w in workloads.values()), 3)
     return {
@@ -304,7 +308,7 @@ def run_witness(names) -> Dict:
 #: guard re-executes itself under seed 0 — see :func:`_pin_hash_seed`)
 #: they are fully deterministic for a given code state, so the check is
 #: runner-stable in a way wall-clock thresholds are not.
-GUARD_COUNTERS = ("solve_calls", "rounds", "pivots")
+GUARD_COUNTERS = ("solve_calls", "rounds", "pivots", "encodings")
 
 #: Counters the guard compares on the hard row, against the committed
 #: ``hard_reference``.
@@ -482,7 +486,10 @@ def render(results: Dict) -> str:
             f"{stats['solve_calls']:7d} {stats['seconds']:8.2f}"
         )
     totals = results["totals"]
-    lines.append(f"pivots: {totals['pivots']}, rounds: {totals['rounds']}")
+    lines.append(
+        f"pivots: {totals['pivots']}, rounds: {totals['rounds']}, "
+        f"encodings: {totals['encodings']}"
+    )
     hard = results["hard_row"]
     lines.append(
         f"hard row ({hard['program']} Fix-eps): {hard['rounds']} rounds, "

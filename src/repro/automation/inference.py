@@ -168,10 +168,8 @@ def infer_annotations(
     tried = 0
     checked = 0
     solves = {"check": 0, "verify": 0}
-    for combo in itertools.product(*per_sample):
+    for combo in itertools.islice(itertools.product(*per_sample), max_candidates):
         tried += 1
-        if tried > max_candidates:
-            break
         table = {s.name: annotation for s, annotation in zip(samples, combo)}
         candidate_fn = ast.FunctionDef(
             name=function.name,

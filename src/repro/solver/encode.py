@@ -16,14 +16,18 @@ The translation performs three normalizations:
   scalar variable ``q[3]``; a symbolic index makes the access opaque.
 
 Encodings are memoized.  The verifier re-encodes the same assumptions,
-path and Ψ premises for query after query, so every
-:class:`Encoder` consults an :class:`EncodingMemo` keyed on
-``(expr, bool_vars)`` at its public :meth:`Encoder.boolean` entry and at
-every numeric comparison, where the polynomial arithmetic happens.  An
-entry holds the (hash-consed, so identical) formula together with the
-side-table items the encoding recorded, and a hit replays those items,
-so the tables keep the contents and insertion order of an unmemoized
-run.  A :class:`~repro.solver.context.QueryCache` owns one memo
+path and Ψ premises for query after query, and rebuilds conjunctions
+whose conjuncts it has encoded before, so every :class:`Encoder`
+consults an :class:`EncodingMemo` for every boolean subterm (``!``,
+``&&``, ``||`` and comparisons, where the polynomial arithmetic happens)
+and for the case split of every composite numeric subterm (``-``,
+``abs``, ``?:`` and the arithmetic operators).  An entry is keyed on
+``(expr, bool_vars, step)`` and holds the (hash-consed, so identical)
+formula or immutable tuple of arms together with the side-table items
+the encoding recorded, and a hit replays those items, so the tables keep
+the contents and insertion order of an unmemoized run.  A rebuilt
+conjunction therefore re-encodes only its new spine.  A
+:class:`~repro.solver.context.QueryCache` owns one memo
 (``QueryCache.encodings``) shared by every encoder built for it; an
 encoder built without one gets a private memo.
 """
@@ -33,7 +37,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.lang import ast
 from repro.lang.pretty import pretty_expr
@@ -49,41 +53,55 @@ class EncodeError(ValueError):
 #: One arm of a numeric case split.
 Case = Tuple[F.Formula, LinExpr]
 
-#: A memoized encoding: the formula, then the ``opaque`` and
-#: ``monomials`` items the encoding recorded, in insertion order.
+#: One arm of a numeric case split before lowering to linear form.
+PolyCase = Tuple[F.Formula, Polynomial]
+
+#: A memo key: the expression, the encoder's boolean variables and the
+#: name of the encoding step (a formula and a case split of the same
+#: expression are different entries).
+Key = Tuple[ast.Expr, FrozenSet[str], str]
+
+#: A memoized encoding: the formula or the tuple of arms, then the
+#: ``opaque`` and ``monomials`` items the encoding recorded, in
+#: insertion order.
 Encoding = Tuple[
-    F.Formula, Tuple[Tuple[str, ast.Expr], ...], Tuple[Tuple[str, Monomial], ...]
+    Union[F.Formula, Tuple[PolyCase, ...]],
+    Tuple[Tuple[str, ast.Expr], ...],
+    Tuple[Tuple[str, Monomial], ...],
 ]
 
 
 class EncodingMemo:
-    """A thread-safe LRU map from ``(expr, bool_vars)`` to an :data:`Encoding`.
+    """A thread-safe LRU map from a :data:`Key` to an :data:`Encoding`.
 
     Bounded at ``max_entries`` (the least recently used entry goes
     first).  Only finished encodings are stored, never a failed one, so
-    an :class:`EncodeError` is raised again on every call.  Entries hold
-    interned formulas: :func:`repro.solver.intern.clear` must not run
-    while a memo that will be consulted again is live.
+    an :class:`EncodeError` is raised again on every call.  ``misses``
+    counts the lookups that found no entry, that is the encodings
+    performed (failed ones included).  Entries hold interned formulas:
+    :func:`repro.solver.intern.clear` must not run while a memo that
+    will be consulted again is live.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
-        self._entries: "OrderedDict[Tuple[ast.Expr, FrozenSet[str]], Encoding]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Key, Encoding]" = OrderedDict()
         self._lock = threading.Lock()
         self.max_entries = max_entries
+        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Tuple[ast.Expr, FrozenSet[str]]) -> Optional[Encoding]:
+    def get(self, key: Key) -> Optional[Encoding]:
         with self._lock:
             encoding = self._entries.get(key)
-            if encoding is not None:
+            if encoding is None:
+                self.misses += 1
+            else:
                 self._entries.move_to_end(key)
             return encoding
 
-    def put(self, key: Tuple[ast.Expr, FrozenSet[str]], encoding: Encoding) -> None:
+    def put(self, key: Key, encoding: Encoding) -> None:
         with self._lock:
             self._entries[key] = encoding
             self._entries.move_to_end(key)
@@ -93,6 +111,7 @@ class EncodingMemo:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self.misses = 0
 
 
 class Encoder:
@@ -127,34 +146,33 @@ class Encoder:
         """Encode a boolean expression as a formula."""
         return self._memoized(expr, self._boolean)
 
-    def _memoized(
-        self, expr: ast.Expr, encode: Callable[[ast.Expr], F.Formula]
-    ) -> F.Formula:
+    def _memoized(self, expr: ast.Expr, encode: Callable[[ast.Expr], object]):
         """``encode(expr)``, answered from :attr:`memo` when it can be.
 
-        A miss encodes into fresh side tables, merges them into the
-        current ones (also when ``encode`` raises, as an unmemoized
-        encoder would have recorded them) and stores the result.
+        The one memo step, for boolean subterms and composite numeric
+        case splits alike.  A miss encodes into fresh side tables,
+        merges them into the current ones (also when ``encode`` raises,
+        as an unmemoized encoder would have recorded them) and stores
+        the result.
         """
-        key = (expr, self.bool_vars)
+        key = (expr, self.bool_vars, encode.__name__)
         encoding = self.memo.get(key)
         if encoding is None:
             outer = self.opaque, self.monomials
             self.opaque, self.monomials = {}, {}
             try:
-                formula = encode(expr)
+                result = encode(expr)
             finally:
                 opaque, monomials = self.opaque, self.monomials
                 self.opaque, self.monomials = outer
                 self.opaque.update(opaque)
                 self.monomials.update(monomials)
-            encoding = (formula, tuple(opaque.items()), tuple(monomials.items()))
-            self.memo.put(key, encoding)
-            return formula
-        formula, opaque_items, monomial_items = encoding
+            self.memo.put(key, (result, tuple(opaque.items()), tuple(monomials.items())))
+            return result
+        result, opaque_items, monomial_items = encoding
         self.opaque.update(opaque_items)
         self.monomials.update(monomial_items)
-        return formula
+        return result
 
     def _boolean(self, expr: ast.Expr) -> F.Formula:
         if isinstance(expr, ast.BoolLit):
@@ -164,20 +182,20 @@ class Encoder:
                 return F.BVar(expr.name)
             raise EncodeError(f"variable {expr.name} used as boolean but not declared bool")
         if isinstance(expr, ast.Not):
-            return F.mk_not(self._boolean(expr.operand))
+            return F.mk_not(self.boolean(expr.operand))
         if isinstance(expr, ast.BinOp):
             if expr.op == "&&":
-                return F.mk_and(self._boolean(expr.left), self._boolean(expr.right))
+                return F.mk_and(self.boolean(expr.left), self.boolean(expr.right))
             if expr.op == "||":
-                return F.mk_or(self._boolean(expr.left), self._boolean(expr.right))
+                return F.mk_or(self.boolean(expr.left), self.boolean(expr.right))
             if expr.op in ast.COMPARATORS:
                 if self._is_boolean(expr.left) or self._is_boolean(expr.right):
                     return self._boolean_comparison(expr)
-                return self._memoized(expr, self._numeric_comparison)
+                return self._numeric_comparison(expr)
             raise EncodeError(f"operator {expr.op} is not boolean")
         if isinstance(expr, ast.Ternary):
-            cond = self._boolean(expr.cond)
-            return F.mk_ite(cond, self._boolean(expr.then), self._boolean(expr.orelse))
+            cond = self.boolean(expr.cond)
+            return F.mk_ite(cond, self.boolean(expr.then), self.boolean(expr.orelse))
         if isinstance(expr, ast.ForAll):
             raise EncodeError("quantifiers must be instantiated before encoding")
         raise EncodeError(f"cannot encode {expr!r} as a boolean")
@@ -192,21 +210,26 @@ class Encoder:
         """
         return [(guard, self._poly_to_lin(poly)) for guard, poly in self._poly_cases(expr)]
 
-    def _poly_cases(self, expr: ast.Expr) -> List[Tuple[F.Formula, Polynomial]]:
+    def _poly_cases(self, expr: ast.Expr) -> Tuple[PolyCase, ...]:
+        """The case split of a numeric expression: leaves directly,
+        composite subterms through the memo."""
         if isinstance(expr, ast.Real):
-            return [(F.TRUE_F, Polynomial.constant(expr.value))]
+            return ((F.TRUE_F, Polynomial.constant(expr.value)),)
         if isinstance(expr, ast.Var):
             if expr.name in self.bool_vars:
                 raise EncodeError(f"boolean variable {expr.name} used as number")
-            return [(F.TRUE_F, Polynomial.atom(expr.name))]
+            return ((F.TRUE_F, Polynomial.atom(expr.name)),)
         if isinstance(expr, ast.Hat):
-            return [(F.TRUE_F, Polynomial.atom(f"{expr.base}^{expr.version}"))]
+            return ((F.TRUE_F, Polynomial.atom(f"{expr.base}^{expr.version}")),)
         if isinstance(expr, ast.Index):
-            return [(F.TRUE_F, Polynomial.atom(self._index_name(expr)))]
+            return ((F.TRUE_F, Polynomial.atom(self._index_name(expr))),)
+        return self._memoized(expr, self._split)
+
+    def _split(self, expr: ast.Expr) -> Tuple[PolyCase, ...]:
         if isinstance(expr, ast.Neg):
-            return [(g, -poly) for g, poly in self._poly_cases(expr.operand)]
+            return tuple((g, -poly) for g, poly in self._poly_cases(expr.operand))
         if isinstance(expr, ast.Abs):
-            result: List[Tuple[F.Formula, Polynomial]] = []
+            result: List[PolyCase] = []
             for guard, poly in self._poly_cases(expr.operand):
                 lin = self._poly_to_lin(poly)
                 nonneg = F.mk_atom("<=", -lin)  # poly >= 0
@@ -214,7 +237,7 @@ class Encoder:
                 result.append((F.mk_and(guard, F.mk_not(nonneg)), -poly))
             return _prune(result)
         if isinstance(expr, ast.Ternary):
-            cond = self._boolean(expr.cond)
+            cond = self.boolean(expr.cond)
             result = []
             for guard, poly in self._poly_cases(expr.then):
                 result.append((F.mk_and(cond, guard), poly))
@@ -224,8 +247,9 @@ class Encoder:
         if isinstance(expr, ast.BinOp):
             if expr.op in ("+", "-", "*"):
                 result = []
-                for g1, p1 in self._poly_cases(expr.left):
-                    for g2, p2 in self._poly_cases(expr.right):
+                left, right = self._poly_cases(expr.left), self._poly_cases(expr.right)
+                for g1, p1 in left:
+                    for g2, p2 in right:
                         guard = F.mk_and(g1, g2)
                         if isinstance(guard, F.FFalse):
                             continue
@@ -272,13 +296,14 @@ class Encoder:
     def _boolean_comparison(self, expr: ast.BinOp) -> F.Formula:
         if expr.op not in ("==", "!="):
             raise EncodeError(f"booleans cannot be compared with {expr.op}")
-        iff = F.mk_iff(self._boolean(expr.left), self._boolean(expr.right))
+        iff = F.mk_iff(self.boolean(expr.left), self.boolean(expr.right))
         return iff if expr.op == "==" else F.mk_not(iff)
 
     def _numeric_comparison(self, expr: ast.BinOp) -> F.Formula:
         arms = []
-        for g1, p1 in self._poly_cases(expr.left):
-            for g2, p2 in self._poly_cases(expr.right):
+        left, right = self._poly_cases(expr.left), self._poly_cases(expr.right)
+        for g1, p1 in left:
+            for g2, p2 in right:
                 guard = F.mk_and(g1, g2)
                 if isinstance(guard, F.FFalse):
                     continue
@@ -286,10 +311,11 @@ class Encoder:
                 arms.append(F.mk_and(guard, F.mk_atom(expr.op, l1, l2)))
         return F.mk_or(*arms)
 
-    def _divide(self, expr: ast.BinOp) -> List[Tuple[F.Formula, Polynomial]]:
-        result: List[Tuple[F.Formula, Polynomial]] = []
-        for g1, p1 in self._poly_cases(expr.left):
-            for g2, p2 in self._poly_cases(expr.right):
+    def _divide(self, expr: ast.BinOp) -> Tuple[PolyCase, ...]:
+        result: List[PolyCase] = []
+        left, right = self._poly_cases(expr.left), self._poly_cases(expr.right)
+        for g1, p1 in left:
+            for g2, p2 in right:
                 guard = F.mk_and(g1, g2)
                 if isinstance(guard, F.FFalse):
                     continue
@@ -324,7 +350,8 @@ class Encoder:
 
 
 def _prune(cases):
-    """Drop statically-false arms and merge equal payloads."""
+    """Drop statically-false arms and merge equal payloads; a tuple, as
+    case splits are memoized."""
     kept = []
     for guard, payload in cases:
         if isinstance(guard, F.FFalse):
@@ -342,7 +369,7 @@ def _prune(cases):
         else:
             merged[key] = (guard, payload)
             order.append(key)
-    return [merged[key] for key in order]
+    return tuple(merged[key] for key in order)
 
 
 def _payload_key(payload) -> object:

@@ -352,6 +352,9 @@ class DischargeEngine:
         #: Inner-loop counters merged from every solver context this
         #: engine ran.
         self.profile = SolverProfile()
+        #: :meth:`_lemmas` answers, keyed by the discovered monomial and
+        #: opaque items and the candidate variables.
+        self._lemma_memo: Dict[Tuple, Tuple[ast.Expr, ...]] = {}
 
     @property
     def store_fingerprint(self) -> str:
@@ -412,10 +415,18 @@ class DischargeEngine:
                 continue
         if not encoder.monomials:
             return []
-        candidates = lemma_mod.relevant_vars(exprs)
-        out = lemma_mod.sign_lemmas(encoder, self.assumptions)
-        out += lemma_mod.monotonicity_lemmas(encoder, candidates)
-        return out
+        candidates = frozenset(lemma_mod.relevant_vars(exprs))
+        # Besides the fixed assumptions, these are all that the lemma
+        # functions read; a hit hands back the identical lemma nodes.
+        key = (tuple(encoder.monomials.items()), tuple(encoder.opaque.items()), candidates)
+        lemmas = self._lemma_memo.get(key)
+        if lemmas is None:
+            lemmas = tuple(
+                lemma_mod.sign_lemmas(encoder, self.assumptions)
+                + lemma_mod.monotonicity_lemmas(encoder, candidates)
+            )
+            self._lemma_memo[key] = lemmas
+        return list(lemmas)
 
     # -- stream discharge ------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """The encoder's memo must not change what an encoding returns or records.
 
-:class:`ReferenceEncoder` overrides the memo step to call straight
-through — the unmemoized encoder, kept as the reference.  A memoized
-encoder must return the *identical* interned formula for every
-expression and leave ``opaque`` and ``monomials`` with equal contents in
-equal insertion order (lemma order, and so solver work, depends on it).
+:class:`ReferenceEncoder` overrides the one memo step, which serves
+boolean subterms and composite numeric case splits alike, to call
+straight through — the unmemoized encoder, kept as the reference.  A memoized encoder must return the *identical*
+interned formula for every expression and leave ``opaque`` and
+``monomials`` with equal contents in equal insertion order (lemma
+order, and so solver work, depends on it).
 """
 
 import os
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from repro.algorithms import registry
+from repro.lang import ast
 from repro.lang.parser import parse_expr
 from repro.pipeline import spec_config
 from repro.solver.context import QueryCache
@@ -77,7 +79,25 @@ def test_encode_error_is_raised_again_and_never_stored():
             encoder.boolean(expr)
         # What was recorded before the error stays, as without a memo.
         assert list(encoder.monomials) == ["mon:x*y"]
-    assert len(memo) == 1  # the comparison that did encode
+    # Only what did encode: the comparison ``x * y < 1`` and the case
+    # split of its product ``x * y``.
+    assert len(memo) == 2
+
+
+def test_misses_count_the_encodings_performed():
+    memo = EncodingMemo()
+    expr = parse_expr("x * y < 1 && (a > 0 ? b : c) >= 2")
+    Encoder(memo=memo).boolean(expr)
+    # The conjunction, both comparisons, ``a > 0``, ``x * y`` and the
+    # ternary: one miss and one entry each.
+    assert memo.misses == len(memo) == 6
+    Encoder(memo=memo).boolean(expr)
+    assert memo.misses == 6
+    # A rebuilt conjunction encodes only its new spine.
+    Encoder(memo=memo).boolean(ast.BinOp("&&", expr, parse_expr("x * y < 1")))
+    assert memo.misses == 7
+    memo.clear()
+    assert memo.misses == 0
 
 
 def test_bool_vars_are_part_of_the_key():
@@ -86,6 +106,13 @@ def test_bool_vars_are_part_of_the_key():
     Encoder(bool_vars={"b"}, memo=memo).boolean(expr)
     with pytest.raises(EncodeError):
         Encoder(memo=memo).boolean(expr)
+
+
+def test_the_encoding_step_is_part_of_the_key():
+    memo = EncodingMemo()
+    Encoder(memo=memo).boolean(parse_expr("x + y < 1"))  # stores the split of x + y
+    with pytest.raises(EncodeError, match="not boolean"):
+        Encoder(memo=memo).boolean(parse_expr("x + y"))
 
 
 def test_shared_memo_keeps_side_tables_per_encoder():

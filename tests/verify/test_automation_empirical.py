@@ -111,6 +111,20 @@ class TestInference:
         assert len(solves) == 0
         assert result.type_check_solves == 0
 
+    def test_candidate_count_stops_at_the_cap(self):
+        spec = get("noisy_max")
+        config = VerificationConfig(
+            mode="unroll",
+            bindings={"size": 3},
+            assumptions=spec.assumption_exprs(),
+            unroll_limit=5,
+            collect_models=False,
+        )
+        result = infer_annotations(spec.function(), config, max_candidates=2)
+        assert not result.found
+        assert (result.candidates_tried, result.type_checked) == (2, 2)
+        assert "2 candidates" in result.describe()
+
     def test_no_annotation_for_broken_program(self):
         # size = 5, N = 1: per-query alignment -q^o[i] would cost
         # 5*eps/4 > eps, and without threshold noise the Ω-guarded
